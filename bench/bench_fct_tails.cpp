@@ -18,7 +18,13 @@
 // (fct_p99_slowdown_<variant>_<faults>, plus per-role rows); the full
 // per-cell quantile table lands in the report's "fct" section, and the
 // SACK/heavy runs' ledgers in bench_fct_tails.flows.jsonl.
+//
+// A last section times one SACK + heavy Web capture with the time-series
+// probe on (no ledger) against the same capture with observability off and
+// reports the ratio as the `obs_probe_overhead_ratio` extra. It is
+// informational: wall-clock ratios on shared runners are too noisy to gate.
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -82,6 +88,29 @@ workload::RackSimResult run_tcp_capture(const topology::Fleet& fleet, core::Host
   if (cfg.obs.flow_capacity < kLedgerCapacity) cfg.obs.flow_capacity = kLedgerCapacity;
   workload::RackSimulation rack{fleet, cfg};
   return rack.run();
+}
+
+struct TimedCapture {
+  double wall_s{0.0};      // RackSimulation::run() only
+  std::size_t series{0};  // probe series the run produced
+};
+
+/// One SACK + heavy-fault capture with the time-series probe on (no ledger)
+/// or observability off.
+TimedCapture timed_probe_capture(const topology::Fleet& fleet, core::HostRole role,
+                                 std::int64_t seconds, const faults::FaultPlan& heavy,
+                                 bool probes) {
+  workload::RackSimConfig cfg =
+      workload::default_rack_config(fleet, role, core::Duration::seconds(seconds));
+  cfg.transport = workload::Transport::kTcp;
+  cfg.tcp.recovery = transport::LossRecovery::kSack;
+  cfg.faults = &heavy;
+  if (probes) cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
+  workload::RackSimulation rack{fleet, cfg};
+  const auto t0 = std::chrono::steady_clock::now();
+  const workload::RackSimResult result = rack.run();
+  return {std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+          result.timeseries.size()};
 }
 
 }  // namespace
@@ -180,6 +209,23 @@ int main() {
   // The report's "fct" section: the heavy SACK table, per-cell quantiles —
   // the granularity aggregate_reports.py folds into the trajectory.
   report.add_fct(fct_tables[1][1].to_json());
+
+  // Probe-only observability cost: the same capture with the probe on and
+  // with observability off. The ledger's per-ACK cost is not in this ratio.
+  const TimedCapture off =
+      timed_probe_capture(fleet, core::HostRole::kWeb, seconds, heavy, /*probes=*/false);
+  const TimedCapture on =
+      timed_probe_capture(fleet, core::HostRole::kWeb, seconds, heavy, /*probes=*/true);
+  const double ratio = off.wall_s > 0.0 ? on.wall_s / off.wall_s : 0.0;
+  std::printf(
+      "\nProbe-only observability overhead (Web, sack, heavy; informational):\n"
+      "  obs off %.3f s, obs on %.3f s (%zu series), ratio %.3f\n",
+      off.wall_s, on.wall_s, on.series, ratio);
+  if (on.series == 0) {
+    std::printf("  (telemetry is runtime-disabled, so no probe ran; "
+                "set FBDCSIM_TELEMETRY=1)\n");
+  }
+  report.add_extra("obs_probe_overhead_ratio", ratio);
 
   std::printf(
       "\nReading: fault-free p50 slowdowns should sit near 1 for every\n"

@@ -168,6 +168,7 @@ class SharedBufferSwitch {
   core::Pool<core::PoolQueue<Queued>::Node> node_pool_{arena_};
   std::vector<Port> ports_;
   std::int64_t buffered_bytes_{0};
+  std::int64_t tx_bytes_total_{0};  // sum of every port's counters.tx_bytes
 };
 
 /// Samples a switch's shared-buffer occupancy on a fixed period (default

@@ -95,13 +95,12 @@ class TimeSeriesProbe {
   explicit TimeSeriesProbe(core::Duration period, std::size_t series_capacity = 512);
 
   /// Registers a gauge; the returned series lives as long as the probe.
-  /// `fn` must stay valid for the probe's life. `stride` samples the gauge
-  /// only every stride-th tick (starting with the first): gauges whose
-  /// evaluation is O(live connections) rather than O(1) — the transport
-  /// sums — would otherwise dominate the simulation at rack scale. The
-  /// series' recorded period_ns is the effective cadence (period * stride),
-  /// and sampling stays a pure function of tick count, so stride never
-  /// breaks bit-identity.
+  /// `fn` must stay valid for the probe's life and should be cheap: it runs
+  /// on every sampled tick. `stride` samples the gauge only every
+  /// stride-th tick (starting with the first), giving a series a coarser
+  /// resolution than the probe's cadence. The series' recorded period_ns
+  /// is the effective cadence (period * stride), and sampling stays a pure
+  /// function of tick count, so stride never breaks bit-identity.
   TimeSeries& add_gauge(std::string name, GaugeFn fn, std::int64_t stride = 1);
 
   /// Samples every gauge at sim time `t_ns`.

@@ -140,11 +140,11 @@ class TransportMux final : public DemandSink {
     switch_drop_fault_epoch_ = switch_drop_fault_epoch;
   }
   /// Registers the mux's sim-time gauges on `probe`: live connection count
-  /// and the out-half cwnd/ssthresh/inflight aggregates plus pending-RTO
-  /// timer count, summed over live connections in slot order. The sums are
-  /// O(live connections) per sample — a Web rack holds ~10^4 — so every
-  /// gauge here registers with `stride` (ObsConfig::transport_stride) to
-  /// stay off the probe's full-rate cadence.
+  /// and the out-half cwnd/ssthresh/inflight/alpha_q16 aggregates plus the
+  /// pending-RTO timer count over live connections. Every gauge is an O(1)
+  /// read of a running total the mux keeps whether or not a probe is
+  /// attached; `stride` (ObsConfig::transport_stride) only sets the
+  /// series' resolution.
   void register_probes(telemetry::TimeSeriesProbe& probe, std::int64_t stride) const;
 
   // ---- introspection (tests, benches) ----
@@ -198,7 +198,9 @@ class TransportMux final : public DemandSink {
                            bool psh, bool ce);
   void on_rto_event(std::uint32_t tag, Dir dir);
   void on_hs_event(std::uint32_t tag);
+  /// Sends what the window allows on one half, then retallies `c`.
   void pump(TcpConnection& c, Dir dir);
+  void pump_segments(TcpConnection& c, Dir dir);
   /// The kSack in-recovery transmission loop: sends whatever sack_next_seg
   /// selects while sack_pipe stays below cwnd (RFC 6675 §5 step C).
   void pump_sack_recovery(TcpConnection& c, Dir dir);
@@ -208,6 +210,14 @@ class TransportMux final : public DemandSink {
   void try_close(TcpConnection& c);
   void arm_rto(TcpConnection& c, Dir dir);
   void arm_hs(TcpConnection& c);
+  /// Brings totals_ up to date with c's gauge fields. Idempotent: it adds
+  /// the change since c.tallied and stores the new share, so an extra call
+  /// never double-counts. Runs wherever those fields settle: ensure, the
+  /// end of pump, and the on_rto_event paths that drop the timer without
+  /// pumping. arm_rto needs none: every caller pumps afterwards.
+  void retally(TcpConnection& c);
+  /// Moves c's share of totals_ from c.tallied to `share`.
+  void recount(TcpConnection& c, const GaugeTally& share);
 
   /// Schedules the paced emission of one data segment.
   void send_segment(TcpConnection& c, Dir dir, std::int64_t seq, std::int64_t len);
@@ -236,6 +246,8 @@ class TransportMux final : public DemandSink {
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<core::FiveTuple, std::uint32_t> by_tuple_;
   Stats stats_;
+  /// Sum of every live connection's `tallied` share: what the probe reads.
+  GaugeTally totals_;
 };
 
 }  // namespace fbdcsim::transport

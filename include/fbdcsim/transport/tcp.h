@@ -87,6 +87,17 @@ struct HalfStream {
   [[nodiscard]] std::int64_t inflight() const { return snd_nxt - snd_una; }
 };
 
+/// The gauge fields of one connection that TransportMux keeps running
+/// totals of: the out-half's cwnd, ssthresh, inflight and DCTCP alpha, plus
+/// the pending RTO timers of both halves.
+struct GaugeTally {
+  std::int64_t cwnd{0};
+  std::int64_t ssthresh{0};
+  std::int64_t inflight{0};
+  std::int64_t alpha_q16{0};
+  std::int64_t rto_pending{0};
+};
+
 struct TcpConnection {
   core::FiveTuple tuple;  // self -> peer orientation
   core::HostId self;
@@ -106,6 +117,8 @@ struct TcpConnection {
   std::uint64_t loss_serial{0};
   HalfStream out;  // self -> peer bytes
   HalfStream in;   // peer -> self bytes
+  /// This connection's share of the mux's gauge totals, as last counted.
+  GaugeTally tallied;
 };
 
 // ---- pure congestion-control laws (Reno/NewReno) ----

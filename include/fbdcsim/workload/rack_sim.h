@@ -153,6 +153,11 @@ class RackSimulation : public services::TrafficSink {
     return transport_.get();
   }
 
+  /// The time-series probe (null unless observability is active). Gauges
+  /// added before run() are sampled with the built-in ones, so tests can
+  /// put an oracle next to a production gauge.
+  [[nodiscard]] telemetry::TimeSeriesProbe* probe() { return probe_.get(); }
+
  private:
   [[nodiscard]] std::size_t egress_port_for(const services::SimPacket& packet) const;
   void observe(const core::PacketHeader& header);

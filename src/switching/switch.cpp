@@ -107,6 +107,7 @@ void SharedBufferSwitch::start_transmission(std::size_t port_index) {
     buffered_bytes_ -= bytes;
     ++p.counters.tx_packets;
     p.counters.tx_bytes += bytes;
+    tx_bytes_total_ += bytes;
     FBDCSIM_T_COUNTER(delivered, "switch.delivered_packets", Sim);
     FBDCSIM_T_COUNTER(tx_bytes, "switch.tx_bytes", Sim);
     FBDCSIM_T_ADD(delivered, 1);
@@ -118,11 +119,7 @@ void SharedBufferSwitch::start_transmission(std::size_t port_index) {
 
 void SharedBufferSwitch::register_probes(telemetry::TimeSeriesProbe& probe) const {
   probe.add_gauge("switch.buffer_occupancy_bytes", [this] { return buffered_bytes_; });
-  probe.add_gauge("switch.tx_bytes_total", [this] {
-    std::int64_t total = 0;
-    for (const Port& p : ports_) total += p.counters.tx_bytes;
-    return total;
-  });
+  probe.add_gauge("switch.tx_bytes_total", [this] { return tx_bytes_total_; });
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     char name[48];
     // Zero-padded so the snapshot's name ordering matches port order.

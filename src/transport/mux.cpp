@@ -34,39 +34,32 @@ void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe,
                                    std::int64_t stride) const {
   probe.add_gauge(
       "transport.active_connections", [this] { return pool_.live(); }, stride);
-  const auto sum_out = [this](auto field) {
-    std::int64_t total = 0;
-    for (const Slot& s : slots_) {
-      if (s.live) total += field(s.conn->out);
-    }
-    return total;
-  };
-  probe.add_gauge(
-      "transport.cwnd_bytes",
-      [sum_out] { return sum_out([](const HalfStream& h) { return h.cwnd; }); }, stride);
-  probe.add_gauge(
-      "transport.ssthresh_bytes",
-      [sum_out] { return sum_out([](const HalfStream& h) { return h.ssthresh; }); },
-      stride);
-  probe.add_gauge(
-      "transport.inflight_bytes",
-      [sum_out] { return sum_out([](const HalfStream& h) { return h.inflight(); }); },
-      stride);
+  probe.add_gauge("transport.cwnd_bytes", [this] { return totals_.cwnd; }, stride);
+  probe.add_gauge("transport.ssthresh_bytes", [this] { return totals_.ssthresh; }, stride);
+  probe.add_gauge("transport.inflight_bytes", [this] { return totals_.inflight; }, stride);
   // DCTCP mark-fraction EWMA, summed over live out-halves in Q16 units
   // (divide a sample by live connections * kDctcpAlphaUnit for the mean
   // alpha). Identically zero under cc = kNewReno.
-  probe.add_gauge(
-      "transport.alpha_q16",
-      [sum_out] { return sum_out([](const HalfStream& h) { return h.alpha_q16; }); },
-      stride);
-  probe.add_gauge("transport.rto_pending", [this] {
-    std::int64_t pending = 0;
-    for (const Slot& s : slots_) {
-      if (!s.live) continue;
-      pending += (s.conn->out.rto_scheduled ? 1 : 0) + (s.conn->in.rto_scheduled ? 1 : 0);
-    }
-    return pending;
-  }, stride);
+  probe.add_gauge("transport.alpha_q16", [this] { return totals_.alpha_q16; }, stride);
+  probe.add_gauge("transport.rto_pending", [this] { return totals_.rto_pending; }, stride);
+}
+
+void TransportMux::retally(TcpConnection& c) {
+  recount(c, GaugeTally{.cwnd = c.out.cwnd,
+                        .ssthresh = c.out.ssthresh,
+                        .inflight = c.out.inflight(),
+                        .alpha_q16 = c.out.alpha_q16,
+                        .rto_pending = (c.out.rto_scheduled ? 1 : 0) +
+                                       (c.in.rto_scheduled ? 1 : 0)});
+}
+
+void TransportMux::recount(TcpConnection& c, const GaugeTally& share) {
+  totals_.cwnd += share.cwnd - c.tallied.cwnd;
+  totals_.ssthresh += share.ssthresh - c.tallied.ssthresh;
+  totals_.inflight += share.inflight - c.tallied.inflight;
+  totals_.alpha_q16 += share.alpha_q16 - c.tallied.alpha_q16;
+  totals_.rto_pending += share.rto_pending - c.tallied.rto_pending;
+  c.tallied = share;
 }
 
 const TcpConnection* TransportMux::find_connection(const core::FiveTuple& tuple) const {
@@ -145,6 +138,8 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
         params_.cc == CongestionControl::kDctcp ? params_.dctcp_initial_alpha : 0;
   }
 
+  retally(c);
+
   by_tuple_.emplace(tuple, c.tag);
   ++stats_.connections_created;
   FBDCSIM_T_COUNTER(conns, "transport.connections", Sim);
@@ -167,6 +162,7 @@ void TransportMux::release(TcpConnection& c) {
   if (flow_ledger_ != nullptr) {
     flow_ledger_->on_release(c.tag, sim_->now().count_nanos());
   }
+  recount(c, GaugeTally{});
   const std::uint32_t idx = (c.tag >> 8) - 1;
   by_tuple_.erase(c.tuple);
   Slot& s = slots_[idx];
@@ -353,6 +349,13 @@ void TransportMux::on_demand(std::uint32_t tag, Dir dir, std::int64_t bytes,
 }
 
 void TransportMux::pump(TcpConnection& c, Dir dir) {
+  pump_segments(c, dir);
+  // Every demand, ACK, recovery and RTO path ends in a pump, so this is
+  // where the gauge totals catch up with the connection.
+  retally(c);
+}
+
+void TransportMux::pump_segments(TcpConnection& c, Dir dir) {
   if (c.state != ConnState::kEstablished && c.state != ConnState::kFinWait) return;
   HalfStream& h = half(c, dir);
   if (params_.recovery == LossRecovery::kSack && h.in_recovery) {
@@ -670,8 +673,11 @@ void TransportMux::on_rto_event(std::uint32_t tag, Dir dir) {
   TcpConnection& c = *cp;
   HalfStream& h = half(c, dir);
   h.rto_scheduled = false;
-  if (c.state != ConnState::kEstablished && c.state != ConnState::kFinWait) return;
-  if (h.snd_una >= h.snd_nxt && h.rtx_next < 0) return;  // everything acked
+  if ((c.state != ConnState::kEstablished && c.state != ConnState::kFinWait) ||
+      (h.snd_una >= h.snd_nxt && h.rtx_next < 0)) {  // closed, or everything acked
+    retally(c);
+    return;
+  }
   if (sim_->now() < h.rto_deadline) {
     // ACKs pushed the deadline forward since this event was scheduled.
     h.rto_scheduled = true;

@@ -332,10 +332,13 @@ TEST(FaultSpecTest, EmptyAndMissingFileAreErrors) {
 
 class FaultProfileFileTest : public ::testing::Test {
  protected:
-  /// Writes `text` to a fresh file under the test temp dir.
+  /// Writes `text` to a fresh file under the test temp dir. The test name
+  /// keeps the path unique when ctest runs these cases in parallel.
   std::string write_profile(const std::string& text) {
-    const std::string path = ::testing::TempDir() + "fault_profile_" +
-                             std::to_string(counter_++) + ".conf";
+    const std::string path =
+        ::testing::TempDir() + "fault_profile_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+        std::to_string(counter_++) + ".conf";
     std::ofstream out{path};
     out << text;
     return path;

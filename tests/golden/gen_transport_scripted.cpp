@@ -32,16 +32,37 @@
 // handy for eyeballing the variant's fingerprints; no golden commits this
 // output (the SACK differential pins bit-identity across engines and
 // thread counts instead).
+//
+// With `--probes` it prints the transport probe series instead: one line
+// per {Web, Hadoop} x {NewReno fault-free, SACK + heavy faults, DCTCP with
+// an ECN threshold} capture, each carrying timeseries_to_json of the
+// `transport.*` gauges at the default stride (scenarios in
+// tests/support/transport_probes.h). The committed
+// tests/golden/transport_probes.golden.txt was captured on the tree BEFORE
+// the gauges became running totals; the TransportProbesGolden test re-runs
+// the scenarios and compares:
+//
+//   ./build/tests/gen_transport_scripted --probes > tests/golden/transport_probes.golden.txt
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "../support/rack_fingerprint.h"
+#include "../support/telemetry_on.h"
+#include "../support/transport_probes.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/workload/presets.h"
 
 using namespace fbdcsim;
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--probes") == 0) {
+    const tests::TelemetryOn on;
+    for (const std::string& line : tests::transport_probe_lines()) {
+      std::printf("%s\n", line.c_str());
+    }
+    return 0;
+  }
   const bool sack = argc > 1 && std::strcmp(argv[1], "--sack") == 0;
   const bool tcp = sack || (argc > 1 && std::strcmp(argv[1], "--tcp") == 0);
   const core::HostRole kRoles[] = {core::HostRole::kWeb, core::HostRole::kCacheFollower,

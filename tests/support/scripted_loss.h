@@ -105,11 +105,14 @@ struct ScenarioOutcome {
 /// loss in the system and every retransmit count is exact. Wider windows
 /// shed far-ahead segments at the receiver and turn scripted single-hole
 /// runs into multi-loss recoveries.
-inline ScenarioOutcome run_loss_scenario(transport::LossRecovery recovery,
-                                         std::int64_t segments, ScriptedDrop drop,
-                                         core::Duration horizon = core::Duration::seconds(10),
-                                         int window_segments = 9,
-                                         telemetry::FlowLedger* ledger = nullptr) {
+///
+/// `instrument`, when set, sees the simulator and mux after set-up and
+/// before the run (e.g. to attach a probe and its sampling timer).
+inline ScenarioOutcome run_loss_scenario(
+    transport::LossRecovery recovery, std::int64_t segments, ScriptedDrop drop,
+    core::Duration horizon = core::Duration::seconds(10), int window_segments = 9,
+    telemetry::FlowLedger* ledger = nullptr,
+    const std::function<void(sim::Simulator&, transport::TransportMux&)>& instrument = {}) {
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
   sim::Simulator sim;
   ScriptedLossSink sink;
@@ -133,6 +136,7 @@ inline ScenarioOutcome run_loss_scenario(transport::LossRecovery recovery,
                               11'211, core::Protocol::kTcp};
   const core::TimePoint t0 = core::TimePoint::zero() + core::Duration::micros(10);
   mux.app_send(tuple, self, peer, sink.target_bytes, t0, core::Duration::nanos(0));
+  if (instrument) instrument(sim, mux);
   sim.run_until(core::TimePoint::zero() + horizon);
 
   ScenarioOutcome out;

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/telemetry_on.h"
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/runtime/parallel_capture.h"
@@ -45,16 +46,7 @@ struct ObsOutput {
   std::int64_t flows_total{0};
 };
 
-/// Forces the runtime telemetry switch on for a test's scope (the obs layer
-/// honors it; CI may run with FBDCSIM_TELEMETRY=0 in the environment).
-class TelemetryOn {
- public:
-  TelemetryOn() : saved_{Telemetry::enabled()} { Telemetry::set_enabled(true); }
-  ~TelemetryOn() { Telemetry::set_enabled(saved_); }
-
- private:
-  bool saved_;
-};
+using tests::TelemetryOn;
 
 workload::RackSimConfig obs_config(const topology::Fleet& fleet, HostRole role,
                                    const faults::FaultPlan* plan,
