@@ -10,7 +10,8 @@
 // path.
 //
 // Telemetry (Kind::kSim — growth is driven purely by simulation state, so
-// the counters are bit-identical across thread counts):
+// the counters are bit-identical across thread counts), published once per
+// run by the owner through publish_counters():
 //   arena.bytes  bytes obtained from the system allocator (chunk mallocs)
 //   arena.reuse  allocations served from recycled memory (pool free-list
 //                hits and retired-chunk reuse after reset())
@@ -80,6 +81,13 @@ class Arena {
   /// Chunks served from the retired list instead of malloc.
   [[nodiscard]] std::int64_t chunks_reused() const noexcept { return chunks_reused_; }
 
+  /// Publishes arena.bytes and arena.reuse, adding `pool_reused` (the
+  /// free-list hits of the arena's pools). Once, at the owner's run end.
+  void publish_counters(std::int64_t pool_reused = 0) const {
+    telemetry::publish_counts({{"arena.bytes", bytes_from_system_}});
+    telemetry::publish_counts({{"arena.reuse", chunks_reused_ + pool_reused}});
+  }
+
  private:
   struct Chunk {
     Chunk* next;
@@ -114,8 +122,6 @@ class Arena {
         chunk->next = live_;
         live_ = chunk;
         ++chunks_reused_;
-        FBDCSIM_T_COUNTER(reuse, "arena.reuse", Sim);
-        FBDCSIM_T_ADD(reuse, 1);
         return allocate(bytes, align);
       }
       link = &(*link)->next;
@@ -129,8 +135,6 @@ class Arena {
     chunk->size = want;
     live_ = chunk;
     bytes_from_system_ += static_cast<std::int64_t>(header + want);
-    FBDCSIM_T_COUNTER(sys_bytes, "arena.bytes", Sim);
-    FBDCSIM_T_ADD(sys_bytes, static_cast<std::int64_t>(header + want));
     return allocate(bytes, align);
   }
 
@@ -166,8 +170,6 @@ class Pool {
       slot = free_;
       free_ = free_->next;
       ++reused_;
-      FBDCSIM_T_COUNTER(reuse, "arena.reuse", Sim);
-      FBDCSIM_T_ADD(reuse, 1);
     } else {
       slot = arena_->allocate(sizeof(Slot), alignof(Slot));
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fbdcsim/core/packet.h"
+#include "fbdcsim/telemetry/telemetry.h"
 
 namespace fbdcsim::monitoring {
 
@@ -45,6 +46,9 @@ class CaptureBuffer {
   /// Hands the trace off for analysis (spooling to remote storage in the
   /// paper's pipeline) and clears the buffer.
   [[nodiscard]] std::vector<core::PacketHeader> spool();
+
+  /// Publishes dropped() as capture.dropped. Once, at the capture's end.
+  void publish_counters() const { telemetry::publish_counts({{"capture.dropped", dropped_}}); }
 
  private:
   std::int64_t capacity_records_;

@@ -36,7 +36,6 @@
 
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/sim/inline_action.h"
-#include "fbdcsim/telemetry/telemetry.h"
 
 namespace fbdcsim::sim {
 
@@ -137,14 +136,9 @@ class Simulator {
     }
   };
 
+  /// Published (and zeroed) by RunMetricsScope as sim.events_inline/heap.
   void count_schedule(bool inline_path) {
-    FBDCSIM_T_COUNTER(inline_events, "sim.events_inline", Sim);
-    FBDCSIM_T_COUNTER(heap_events, "sim.events_heap", Sim);
-    if (inline_path) {
-      FBDCSIM_T_ADD(inline_events, 1);
-    } else {
-      FBDCSIM_T_ADD(heap_events, 1);
-    }
+    ++(inline_path ? inline_schedules_ : heap_schedules_);
   }
 
   // ---- bucketed engine ----
@@ -162,6 +156,8 @@ class Simulator {
     bool dirty{false};   // items[pos..] not known sorted
   };
 
+  class RunMetricsScope;  // run metrics, defined in simulator.cpp
+
   void schedule_bucketed(TimePoint at, Action action);
   void schedule_reference(TimePoint at, std::function<void()> action);
   void run_loop(TimePoint horizon, bool bounded);
@@ -174,6 +170,8 @@ class Simulator {
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::size_t size_{0};
+  std::int64_t inline_schedules_{0};
+  std::int64_t heap_schedules_{0};
 
   std::vector<Bucket> wheel_{static_cast<std::size_t>(kWheelSize)};
   std::int64_t cursor_{0};  // absolute index of the bucket being drained

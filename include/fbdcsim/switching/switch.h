@@ -136,6 +136,10 @@ class SharedBufferSwitch {
   /// non-observed path pays one pointer compare per drop, nothing more.
   void set_trace_log(telemetry::TracePointLog* log) { trace_log_ = log; }
 
+  /// Publishes every port's counters and the node arena's counts as
+  /// switch.* / transport.ecn_marked / arena.*. Once, at the run's end.
+  void publish_counters() const;
+
   /// Registers this switch's sim-time gauges on `probe`: shared-buffer
   /// occupancy, per-port queue depth, and cumulative tx bytes. The switch
   /// must outlive the probe's sampling.

@@ -226,6 +226,9 @@ class FlowLedger {
 
   [[nodiscard]] FlowLedgerDump snapshot() const;
 
+  /// Publishes the record arena's arena.* counts. Once, after finalize().
+  void publish_counters() const { arena_.publish_counters(pool_.reused()); }
+
  private:
   struct HalfLive {
     FlowLedgerRecord* open{nullptr};  // pooled; null when drained

@@ -9,14 +9,17 @@
 //   - TraceSpan / ScopedTimer (trace.h): hierarchical wall-clock timing
 //     spans, exportable as Chrome trace events;
 //   - exporters (export.h): human-readable summary tables, JSON snapshots,
-//     and chrome://tracing / Perfetto-loadable trace files.
+//     and chrome://tracing / Perfetto-loadable trace files;
+//   - publish_counts (below): packet-path components count per event in
+//     plain fields and fill the registry once per run (DESIGN.md §7).
 //
 // Two switches control cost:
 //
 //   - compile time: the FBDCSIM_TELEMETRY CMake option (default ON). When
-//     OFF, the FBDCSIM_T_* instrumentation macros below expand to nothing,
-//     so instrumented code carries zero overhead. The telemetry classes
-//     themselves always compile (their unit tests run in both modes).
+//     OFF, the FBDCSIM_T_* instrumentation macros below expand to nothing
+//     and publish_counts does nothing, so instrumented code carries zero
+//     overhead. The telemetry classes themselves always compile (their unit
+//     tests run in both modes).
 //   - run time: Telemetry::set_enabled, initialized from the
 //     FBDCSIM_TELEMETRY environment variable (0/1/on/off/true/false;
 //     default on). When disabled, instrumentation sites reduce to one
@@ -29,6 +32,9 @@
 // and are segregated in every export, so the runtime/ bit-identity gates
 // never compare them.
 #pragma once
+
+#include <initializer_list>
+#include <utility>
 
 #include "fbdcsim/telemetry/metrics.h"
 #include "fbdcsim/telemetry/trace.h"
@@ -110,3 +116,24 @@
   } while (0)
 
 #endif  // FBDCSIM_TELEMETRY_ENABLED
+
+namespace fbdcsim::telemetry {
+
+/// Adds counts a component kept in plain fields to Kind::kSim counters,
+/// once per run. Presence rule: a call's names register together once any
+/// value is non-zero, even with telemetry disabled at runtime (one call per
+/// outcome pair, e.g. enqueued/dropped); values are added only if enabled.
+inline void publish_counts(
+    [[maybe_unused]] std::initializer_list<std::pair<std::string_view, std::int64_t>> counts) {
+#if FBDCSIM_TELEMETRY_ENABLED
+  bool any = false;
+  for (const auto& count : counts) any = any || count.second != 0;
+  if (!any) return;
+  for (const auto& [name, value] : counts) {
+    Counter& counter = MetricsRegistry::global().counter(name, Kind::kSim);
+    if (value != 0 && Telemetry::enabled()) counter.add(value);
+  }
+#endif
+}
+
+}  // namespace fbdcsim::telemetry

@@ -82,6 +82,9 @@ class TracePointLog {
 
   [[nodiscard]] TracePointDump snapshot() const;
 
+  /// Publishes the ring arena's arena.* counts. Once, at the run's end.
+  void publish_counters() const { arena_.publish_counters(); }
+
   /// Human-greppable dump (one line per retained record) — the flight
   /// recorder's crash output.
   void dump(std::FILE* out) const;

@@ -26,7 +26,8 @@
 // Engine contract (PR-4): every scheduled lambda fits sim::InlineAction's
 // inline storage (events stay heap-free), connections recycle through a
 // pool, and every telemetry metric is Kind::kSim — deterministic across
-// engines and FBDCSIM_THREADS settings. In-flight packets carry
+// engines and FBDCSIM_THREADS settings; counts live in Stats and reach the
+// registry once per run (publish_counters). In-flight packets carry
 // `flow_tag` = (slot << 8) | generation; events resolving a stale tag
 // (connection since recycled) are ignored.
 #pragma once
@@ -146,6 +147,10 @@ class TransportMux final : public DemandSink {
   /// attached; `stride` (ObsConfig::transport_stride) only sets the
   /// series' resolution.
   void register_probes(telemetry::TimeSeriesProbe& probe, std::int64_t stride) const;
+
+  /// Publishes Stats as the transport.* counters (segments_sent as
+  /// transport.segments, ...) and the pool's arena.*. Once, at the run's end.
+  void publish_counters() const;
 
   // ---- introspection (tests, benches) ----
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -140,6 +140,7 @@ class RackSimulation : public services::TrafficSink {
   RackSimulation(const RackSimulation&) = delete;
   RackSimulation& operator=(const RackSimulation&) = delete;
 
+  /// Runs the capture, then publishes the components' counts. Call once.
   [[nodiscard]] RackSimResult run();
 
   // TrafficSink interface (used by the service models).

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "fbdcsim/telemetry/telemetry.h"
 
 #if FBDCSIM_TELEMETRY_ENABLED
 #include <chrono>
@@ -10,15 +13,13 @@
 namespace fbdcsim::sim {
 
 #if FBDCSIM_TELEMETRY_ENABLED
-namespace {
-
 /// Accounts one run()/run_until() call: events executed (deterministic)
 /// and the wall time the loop took. sim.events / (sim.run_wall_us / 1e6)
-/// is the event loop's aggregate throughput.
-class RunMetricsScope {
+/// is the event loop's aggregate throughput. Also publishes, and zeroes,
+/// the schedules counted since the previous call.
+class Simulator::RunMetricsScope {
  public:
-  explicit RunMetricsScope(const std::uint64_t& executed)
-      : executed_{&executed}, start_events_{executed} {
+  explicit RunMetricsScope(Simulator& sim) : sim_{&sim}, start_events_{sim.executed_} {
     if (!telemetry::Telemetry::enabled()) return;
     armed_ = true;
     start_us_ = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -27,6 +28,8 @@ class RunMetricsScope {
   }
 
   ~RunMetricsScope() {
+    telemetry::publish_counts({{"sim.events_inline", std::exchange(sim_->inline_schedules_, 0)},
+                               {"sim.events_heap", std::exchange(sim_->heap_schedules_, 0)}});
     if (!armed_) return;
     FBDCSIM_T_COUNTER(events, "sim.events", Sim);
     FBDCSIM_T_COUNTER(runs, "sim.runs", Sim);
@@ -34,19 +37,17 @@ class RunMetricsScope {
     const std::int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
                                     std::chrono::steady_clock::now().time_since_epoch())
                                     .count();
-    FBDCSIM_T_ADD(events, static_cast<std::int64_t>(*executed_ - start_events_));
+    FBDCSIM_T_ADD(events, static_cast<std::int64_t>(sim_->executed_ - start_events_));
     FBDCSIM_T_ADD(runs, 1);
     FBDCSIM_T_ADD(wall, now_us - start_us_);
   }
 
  private:
-  const std::uint64_t* executed_;
+  Simulator* sim_;
   std::uint64_t start_events_;
   bool armed_{false};
   std::int64_t start_us_{0};
 };
-
-}  // namespace
 #endif
 
 namespace {
@@ -190,7 +191,7 @@ void Simulator::run_loop_reference(TimePoint horizon, bool bounded) {
 
 void Simulator::run_until(TimePoint horizon) {
 #if FBDCSIM_TELEMETRY_ENABLED
-  RunMetricsScope metrics{executed_};
+  RunMetricsScope metrics{*this};
 #endif
   if (engine_ == Engine::kReference) {
     run_loop_reference(horizon, /*bounded=*/true);
@@ -202,7 +203,7 @@ void Simulator::run_until(TimePoint horizon) {
 
 void Simulator::run() {
 #if FBDCSIM_TELEMETRY_ENABLED
-  RunMetricsScope metrics{executed_};
+  RunMetricsScope metrics{*this};
 #endif
   if (engine_ == Engine::kReference) {
     run_loop_reference(TimePoint{}, /*bounded=*/false);

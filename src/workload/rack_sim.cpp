@@ -313,6 +313,11 @@ RackSimResult RackSimulation::run() {
     flow_ledger_->finalize(sim_.now().count_nanos());
     result.flows = flow_ledger_->snapshot();
   }
+  rsw_->publish_counters();
+  capture_buffer_.publish_counters();
+  if (transport_) transport_->publish_counters();
+  if (flow_ledger_) flow_ledger_->publish_counters();
+  if (tracepoints_) tracepoints_->publish_counters();
   return result;
 }
 

@@ -43,11 +43,22 @@
 // the scenarios and compares:
 //
 //   ./build/tests/gen_transport_scripted --probes > tests/golden/transport_probes.golden.txt
+//
+// With `--sim-metrics` it prints the Kind::kSim registry section after each
+// scenario of tests/support/rack_sim_metrics.h (one line per rack capture,
+// registry zeroed before each). The committed
+// tests/golden/rack_sim_metrics.golden.txt was captured on the tree BEFORE
+// the per-event registry writes were replaced by counts the components keep
+// and publish once per run; the RackSimMetricsGolden test re-runs the
+// scenarios and compares:
+//
+//   ./build/tests/gen_transport_scripted --sim-metrics > tests/golden/rack_sim_metrics.golden.txt
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "../support/rack_fingerprint.h"
+#include "../support/rack_sim_metrics.h"
 #include "../support/telemetry_on.h"
 #include "../support/transport_probes.h"
 #include "fbdcsim/faults/fault_plan.h"
@@ -59,6 +70,13 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--probes") == 0) {
     const tests::TelemetryOn on;
     for (const std::string& line : tests::transport_probe_lines()) {
+      std::printf("%s\n", line.c_str());
+    }
+    return 0;
+  }
+  if (argc > 1 && std::strcmp(argv[1], "--sim-metrics") == 0) {
+    const tests::TelemetryOn on;
+    for (const std::string& line : tests::rack_sim_metrics_lines()) {
       std::printf("%s\n", line.c_str());
     }
     return 0;
