@@ -5,6 +5,9 @@
 // experiment).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "fbdcsim/analysis/flow_table.h"
 #include "fbdcsim/analysis/heavy_hitters.h"
 #include "fbdcsim/core/distributions.h"
@@ -31,6 +34,82 @@ void BM_SimulatorEventLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_SimulatorEventLoop);
+
+// The three queue paths of the bucketed engine, each with a 48-byte capture
+// (the size of the rack sim's packet lambdas). The queues move keys, so
+// these times should not grow with the capture size.
+constexpr std::int64_t kQueueEvents = 4'096;
+constexpr std::int64_t kBucketNs = 4'096;  // the wheel's bucket width
+
+struct PacketSizedAction {
+  std::array<std::uint64_t, 5> payload;
+  std::int64_t* sink;
+  void operator()() const { *sink += static_cast<std::int64_t>(payload[0]); }
+};
+
+/// Start of the next wheel bucket after `now`.
+core::TimePoint next_bucket(core::TimePoint now) {
+  return core::TimePoint::from_nanos((now.count_nanos() / kBucketNs + 1) * kBucketNs);
+}
+
+/// Times spread over `span_ns` in a scrambled (non-monotone) order.
+std::int64_t scrambled(std::int64_t i, std::int64_t span_ns) {
+  return (i * 7'919) % kQueueEvents * span_ns / kQueueEvents;
+}
+
+// An action schedules a burst into the bucket being drained: the active heap.
+void BM_SimulatorSameBucketBurst(benchmark::State& state) {
+  sim::Simulator sim;
+  std::int64_t sink = 0;
+  for (auto _ : state) {
+    sim.schedule_at(next_bucket(sim.now()), [&sim, &sink] {
+      for (std::int64_t i = 0; i < kQueueEvents; ++i) {
+        sim.schedule_after(core::Duration::nanos(scrambled(i, kBucketNs - 1)),
+                           PacketSizedAction{{static_cast<std::uint64_t>(i)}, &sink});
+      }
+    });
+    sim.run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kQueueEvents);
+}
+BENCHMARK(BM_SimulatorSameBucketBurst);
+
+// Timers 10-400 ms out (RTO-like), far beyond the ~4.2 ms wheel window: the
+// overflow heap and its migration into the wheel.
+void BM_SimulatorFarFutureTimers(benchmark::State& state) {
+  sim::Simulator sim;
+  std::int64_t sink = 0;
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < kQueueEvents; ++i) {
+      sim.schedule_after(core::Duration::millis(10) +
+                             core::Duration::nanos(scrambled(i, 390'000'000)),
+                         PacketSizedAction{{static_cast<std::uint64_t>(i)}, &sink});
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kQueueEvents);
+}
+BENCHMARK(BM_SimulatorFarFutureTimers);
+
+// Appends inside the wheel window in scrambled time order, ~10 per bucket:
+// every bucket is dirty and sorted when the cursor reaches it.
+void BM_SimulatorOutOfOrderAppends(benchmark::State& state) {
+  sim::Simulator sim;
+  std::int64_t sink = 0;
+  for (auto _ : state) {
+    const core::TimePoint base = next_bucket(sim.now());
+    for (std::int64_t i = 0; i < kQueueEvents; ++i) {
+      sim.schedule_at(base + core::Duration::nanos(scrambled(i, 400 * kBucketNs)),
+                      PacketSizedAction{{static_cast<std::uint64_t>(i)}, &sink});
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kQueueEvents);
+}
+BENCHMARK(BM_SimulatorOutOfOrderAppends);
 
 void BM_ZipfSample(benchmark::State& state) {
   core::Zipf zipf{static_cast<std::size_t>(state.range(0)), 1.0};

@@ -10,6 +10,13 @@
 // heap. The engine counts both paths ("sim.events_inline" /
 // "sim.events_heap") so the fallback is observable, and a scorecard-length
 // run asserts the heap count stays zero (tests/sim/inline_action_test.cpp).
+//
+// Moving an InlineAction is a relocation: an indirect call that
+// move-constructs the callable (up to 56 bytes) and destroys the source.
+// The bucketed engine therefore keeps actions out of its queues: each one
+// is relocated twice per event, into a slab slot when scheduled and out of
+// it just before it runs, while the wheel, sorts and heaps move 24-byte
+// keys (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>

@@ -11,9 +11,12 @@
 //     within the near-future window land in a 1024-bucket time wheel
 //     (4.096 us per bucket, ~4.2 ms window) and are sorted per bucket only
 //     when the wheel reaches them; events beyond the window wait in an
-//     overflow heap and migrate into the wheel as it rotates. Actions are
-//     stored as InlineAction (no heap allocation for captures up to 56
-//     bytes — every current hot-path capture).
+//     overflow heap and migrate into the wheel as it rotates. The queues
+//     hold 24-byte (at, seq, slot) keys only: each action is moved once
+//     into a slab slot (an InlineAction — no heap allocation for captures
+//     up to 56 bytes, every current hot-path capture) and once out of it,
+//     right before it runs, so bucket sorts, heap sifts and queue growth
+//     never relocate the callable itself.
 //   - Engine::kReference: the pre-rewrite engine, verbatim — a single
 //     std::priority_queue of std::function actions. It exists as the
 //     differential baseline: tests/sim/engine_differential_* prove the
@@ -47,7 +50,7 @@ class Simulator {
   using Action = InlineAction;
 
   enum class Engine : std::uint8_t {
-    kBucketed,   // calendar wheel + overflow heap, InlineAction storage
+    kBucketed,   // calendar wheel + overflow heap of keys, InlineAction slab
     kReference,  // pre-rewrite binary heap of std::function (differential baseline)
   };
 
@@ -59,22 +62,28 @@ class Simulator {
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedules a callable at absolute time `at` (must not be in the past).
-  /// The reference engine stores it as std::function exactly as the
-  /// pre-rewrite engine did; the bucketed engine stores it as InlineAction.
-  /// Either way the schedule is counted as inline/heap by what InlineAction
-  /// would do, so the two engines' telemetry stays bit-identical.
+  /// Schedules a callable at absolute time `at` (must not be in the past;
+  /// an empty std::function or null function pointer is rejected). The
+  /// reference engine stores it as std::function exactly as the
+  /// pre-rewrite engine did; the bucketed engine stores it as an
+  /// InlineAction in a slab slot. Either way the schedule is counted as
+  /// inline/heap by what InlineAction would do, so the two engines'
+  /// telemetry stays bit-identical.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Action>>>
   void schedule_at(TimePoint at, F&& f) {
+    using Fn = std::decay_t<F>;
     if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-    count_schedule(Action::fits_inline<std::decay_t<F>>);
+    if constexpr (std::is_pointer_v<Fn> || std::is_same_v<Fn, std::function<void()>>) {
+      if (!f) throw std::invalid_argument{"Simulator: empty action"};
+    }
+    count_schedule(Action::fits_inline<Fn>);
     if (engine_ == Engine::kReference) {
-      if constexpr (std::is_copy_constructible_v<std::decay_t<F>>) {
+      if constexpr (std::is_copy_constructible_v<Fn>) {
         schedule_reference(at, std::function<void()>(std::forward<F>(f)));
       } else {
         // std::function requires copyable targets; box move-only callables.
-        auto boxed = std::make_shared<std::decay_t<F>>(std::forward<F>(f));
+        auto boxed = std::make_shared<Fn>(std::forward<F>(f));
         schedule_reference(at, [boxed] { (*boxed)(); });
       }
     } else {
@@ -83,9 +92,10 @@ class Simulator {
   }
 
   /// Schedules an already type-erased action (hot paths that pre-build
-  /// InlineActions, tests).
+  /// InlineActions, tests). An empty action is rejected.
   void schedule_at(TimePoint at, Action action) {
     if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
+    if (!action) throw std::invalid_argument{"Simulator: empty action"};
     count_schedule(action.is_inline());
     if (engine_ == Engine::kReference) {
       auto boxed = std::make_shared<Action>(std::move(action));
@@ -115,14 +125,13 @@ class Simulator {
 
   [[nodiscard]] std::size_t pending_events() const { return size_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
+  /// Action slots the bucketed engine's slab holds, live and free: the
+  /// peak of pending_events() since the last clear() (0 on the reference
+  /// engine). A slot leak shows up as growth past that peak.
+  [[nodiscard]] std::size_t action_slots() const { return slab_.size(); }
 
  private:
   // ---- shared ----
-  struct Event {
-    TimePoint at;
-    std::uint64_t seq;
-    Action action;
-  };
   struct RefEvent {
     TimePoint at;
     std::uint64_t seq;
@@ -150,14 +159,23 @@ class Simulator {
     return at.count_nanos() >> kBucketShiftBits;  // sim time is never negative
   }
 
+  /// What the bucketed engine's queues hold: the execution order (at,
+  /// seq) and the slab slot of the action. 24 bytes, trivially copyable.
+  struct Key {
+    TimePoint at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
   struct Bucket {
-    std::vector<Event> items;
-    std::size_t pos{0};  // executed (moved-from) prefix of items
+    std::vector<Key> items;
+    std::size_t pos{0};  // executed prefix of items
     bool dirty{false};   // items[pos..] not known sorted
   };
 
   class RunMetricsScope;  // run metrics, defined in simulator.cpp
 
+  /// Parks the action in a free slab slot (or a new one) and queues its key.
   void schedule_bucketed(TimePoint at, Action action);
   void schedule_reference(TimePoint at, std::function<void()> action);
   void run_loop(TimePoint horizon, bool bounded);
@@ -178,9 +196,13 @@ class Simulator {
   bool draining_{false};    // inside run_loop, draining bucket cursor_
   /// Events scheduled into bucket cursor_ while it is being drained (kept
   /// out of the bucket vector so the in-progress sorted scan stays valid).
-  std::priority_queue<Event, std::vector<Event>, Later<Event>> active_;
+  std::priority_queue<Key, std::vector<Key>, Later<Key>> active_;
   /// Events beyond the wheel window, ordered by (time, seq).
-  std::priority_queue<Event, std::vector<Event>, Later<Event>> overflow_;
+  std::priority_queue<Key, std::vector<Key>, Later<Key>> overflow_;
+  /// The queued actions, indexed by Key::slot; free_slots_ lists the empty
+  /// ones. An action leaves its slot just before it runs.
+  std::vector<Action> slab_;
+  std::vector<std::uint32_t> free_slots_;
 
   std::priority_queue<RefEvent, std::vector<RefEvent>, Later<RefEvent>> ref_queue_;
 };
@@ -194,6 +216,7 @@ class Simulator {
 /// event owns a reference, so the executing callback never dangles even
 /// after ~PeriodicTimer runs (the pre-rewrite implementation kept the
 /// callback inside the timer object and destroyed it mid-invocation).
+/// An empty tick is rejected at construction.
 class PeriodicTimer {
  public:
   using Tick = std::function<void(TimePoint)>;

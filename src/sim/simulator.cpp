@@ -62,18 +62,27 @@ bool earlier(const E& a, const E& b) {
 }  // namespace
 
 void Simulator::schedule_bucketed(TimePoint at, Action action) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(action);
+  }
   const std::int64_t idx = bucket_of(at);
-  Event ev{at, next_seq_++, std::move(action)};
+  const Key key{at, next_seq_++, slot};
   ++size_;
   if (draining_ && idx <= cursor_) {
     // Scheduled (from an executing action) into the bucket being drained:
     // the heap keeps the in-progress sorted scan valid without re-sorting
     // the bucket vector per schedule.
-    active_.push(std::move(ev));
+    active_.push(key);
     return;
   }
   if (idx >= cursor_ + kWheelSize) {
-    overflow_.push(std::move(ev));
+    overflow_.push(key);
     return;
   }
   // idx < cursor_ happens when the cursor passed the event's natural bucket
@@ -87,8 +96,8 @@ void Simulator::schedule_bucketed(TimePoint at, Action action) {
     b.pos = 0;
     b.dirty = false;
   }
-  if (!b.dirty && !b.items.empty() && ev.at < b.items.back().at) b.dirty = true;
-  b.items.push_back(std::move(ev));
+  if (!b.dirty && !b.items.empty() && at < b.items.back().at) b.dirty = true;
+  b.items.push_back(key);
 }
 
 void Simulator::schedule_reference(TimePoint at, std::function<void()> action) {
@@ -101,11 +110,11 @@ void Simulator::migrate_overflow() {
   // time, so the now-in-window events are exactly the heap's top prefix.
   const std::int64_t limit = cursor_ + kWheelSize;
   while (!overflow_.empty() && bucket_of(overflow_.top().at) < limit) {
-    Event ev = std::move(const_cast<Event&>(overflow_.top()));
+    const Key key = overflow_.top();
     overflow_.pop();
-    Bucket& b = wheel_[bucket_of(ev.at) & kWheelMask];
-    if (!b.dirty && !b.items.empty() && ev.at < b.items.back().at) b.dirty = true;
-    b.items.push_back(std::move(ev));
+    Bucket& b = wheel_[bucket_of(key.at) & kWheelMask];
+    if (!b.dirty && !b.items.empty() && key.at < b.items.back().at) b.dirty = true;
+    b.items.push_back(key);
   }
 }
 
@@ -120,7 +129,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
       b.items.erase(b.items.begin(),
                     b.items.begin() + static_cast<std::ptrdiff_t>(b.pos));
       b.pos = 0;
-      std::sort(b.items.begin(), b.items.end(), earlier<Event>);
+      std::sort(b.items.begin(), b.items.end(), earlier<Key>);
       b.dirty = false;
     }
 
@@ -144,21 +153,23 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
     if (bucket_has && !active_.empty()) {
       from_active = earlier(active_.top(), b.items[b.pos]);
     }
-    const Event& peek = from_active ? active_.top() : b.items[b.pos];
-    if (bounded && peek.at > horizon) break;
+    const Key key = from_active ? active_.top() : b.items[b.pos];
+    if (bounded && key.at > horizon) break;
 
-    Event ev = from_active ? std::move(const_cast<Event&>(active_.top()))
-                           : std::move(b.items[b.pos]);
     if (from_active) {
       active_.pop();
     } else {
       ++b.pos;
     }
+    // The action leaves the slab before it runs and its slot is free
+    // again, so the action may clear() the simulator or grow the slab.
+    Action action = std::move(slab_[key.slot]);
+    free_slots_.push_back(key.slot);
     --size_;
-    now_ = ev.at;
+    now_ = key.at;
     ++executed_;
     draining_ = true;
-    ev.action();
+    action();
     draining_ = false;
   }
   draining_ = false;
@@ -169,7 +180,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
   if (!active_.empty()) {
     Bucket& b = wheel_[cursor_ & kWheelMask];
     while (!active_.empty()) {
-      b.items.push_back(std::move(const_cast<Event&>(active_.top())));
+      b.items.push_back(active_.top());
       active_.pop();
     }
     b.dirty = true;
@@ -220,6 +231,8 @@ void Simulator::clear() {
   }
   while (!active_.empty()) active_.pop();
   while (!overflow_.empty()) overflow_.pop();
+  slab_.clear();
+  free_slots_.clear();
   while (!ref_queue_.empty()) ref_queue_.pop();
   size_ = 0;
 }
@@ -227,6 +240,7 @@ void Simulator::clear() {
 PeriodicTimer::PeriodicTimer(Simulator& sim, Duration period, Tick tick)
     : state_{std::make_shared<State>(State{&sim, period, std::move(tick), true})} {
   if (period <= Duration{}) throw std::invalid_argument{"PeriodicTimer: period must be positive"};
+  if (!state_->tick) throw std::invalid_argument{"PeriodicTimer: empty tick"};
   arm(state_, sim.now() + period);
 }
 

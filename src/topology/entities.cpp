@@ -1,5 +1,6 @@
 #include "fbdcsim/topology/entities.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -96,27 +97,30 @@ HostId FleetBuilder::add_host(RackId rack) {
   const HostId id{static_cast<std::uint32_t>(fleet_.hosts_.size())};
   Rack& rk = fleet_.racks_.at(rack.value());
 
-  // Rack index within its datacenter, in cluster declaration order. Needed
-  // for the location-encoding address.
+  // Rack index within its datacenter, in cluster declaration order: the
+  // racks of the clusters declared before this rack's, then its place in
+  // its own cluster (rack ids ascend within a cluster, so a binary search
+  // finds it; scanning every rack of the datacenter per host made large
+  // fleets quadratic to build). Needed for the location-encoding address.
   const auto& dc = fleet_.datacenters_.at(rk.datacenter.value());
-  std::uint32_t rack_in_dc = 0;
+  std::size_t rack_in_dc = 0;
   bool found = false;
   for (const ClusterId cid : dc.clusters) {
-    const auto& cl = fleet_.clusters_[cid.value()];
-    for (const RackId rid : cl.racks) {
-      if (rid == rack) {
-        found = true;
-        break;
-      }
-      ++rack_in_dc;
+    const auto& racks = fleet_.clusters_[cid.value()].racks;
+    if (cid == rk.cluster) {
+      const auto it = std::lower_bound(racks.begin(), racks.end(), rack);
+      found = it != racks.end() && *it == rack;
+      rack_in_dc += static_cast<std::size_t>(it - racks.begin());
+      break;
     }
-    if (found) break;
+    rack_in_dc += racks.size();
   }
   if (!found) throw std::logic_error{"FleetBuilder: rack not in its datacenter"};
 
   const auto host_in_rack = static_cast<std::uint32_t>(rk.hosts.size());
   const core::Ipv4Addr addr =
-      AddressPlan::address_for(rk.datacenter.value(), rack_in_dc, host_in_rack);
+      AddressPlan::address_for(rk.datacenter.value(), static_cast<std::uint32_t>(rack_in_dc),
+                               host_in_rack);
 
   fleet_.hosts_.push_back(Host{id, rack, rk.cluster, rk.datacenter, rk.site, rk.role, addr});
   rk.hosts.push_back(id);

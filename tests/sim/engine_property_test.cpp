@@ -13,9 +13,15 @@
 //   4. run_until(h) executes exactly the events with time <= h, pins the
 //      clock to h, and leaves strictly-later events pending.
 //
-// The five instantiations below total 200 seeded cases.
+// The churn style also cycles schedule -> run_until -> clear() many times
+// and checks that the bucketed engine's action slab never holds more slots
+// than the peak number of pending events since the last clear(), i.e. that
+// every executed or dropped action gives its slot back.
+//
+// The seven style instantiations below total 224 seeded cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -38,6 +44,7 @@ enum class Style {
   kClear,     // some actions call Simulator::clear()
   kBoundary,  // times pinned to bucket-boundary multiples +/- 1 ns
   kOverflow,  // mostly far-future events (overflow heap + migration)
+  kChurn,     // many schedule -> run_until -> clear() cycles (slot reuse)
 };
 
 constexpr std::int64_t kBucketNs = 4096;          // engine bucket width
@@ -50,9 +57,13 @@ struct Driver {
   std::vector<LogEntry> log;
   std::uint64_t next_id{0};
   std::uint64_t event_budget{600};
+  std::size_t peak_pending{0};  // since the last clear()
+  int slot_mismatches{0};       // bucketed: action_slots() != peak_pending
 
   Driver(Simulator::Engine engine, std::uint64_t seed, Style s)
-      : sim{engine}, rng{seed}, style{s} {}
+      : sim{engine}, rng{seed}, style{s} {
+    if (style == Style::kChurn) event_budget = 2'000;
+  }
 
   std::int64_t draw_delta() {
     switch (style) {
@@ -70,6 +81,15 @@ struct Driver {
           return kWindowNs + static_cast<std::int64_t>(rng() % (31 * kWindowNs));
         }
         return static_cast<std::int64_t>(rng() % kWindowNs);
+      case Style::kChurn:
+        switch (rng() % 5) {
+          case 0: return 0;                                                   // equal time
+          case 1: return static_cast<std::int64_t>(rng() % 8);                // same bucket
+          case 2: return static_cast<std::int64_t>(rng() % (2 * kBucketNs));  // out of order
+          case 3: return static_cast<std::int64_t>(rng() % kWindowNs);        // wheel
+          default:                                                            // overflow
+            return kWindowNs + static_cast<std::int64_t>(rng() % (8 * kWindowNs));
+        }
       case Style::kMixed:
       case Style::kHorizon:
       case Style::kClear:
@@ -93,9 +113,36 @@ struct Driver {
       if (allow_clear) sim.clear();
       for (int c = 0; c < children; ++c) schedule_one();
     });
+    peak_pending = std::max(peak_pending, sim.pending_events());
+  }
+
+  void check_slots() {
+    if (sim.engine() == Simulator::Engine::kBucketed && sim.action_slots() != peak_pending) {
+      ++slot_mismatches;
+    }
+  }
+
+  void run_churn() {
+    for (int cycle = 0; cycle < 60; ++cycle) {
+      const std::uint64_t batch = 4 + rng() % 20;
+      for (std::uint64_t i = 0; i < batch; ++i) schedule_one();
+      sim.run_until(sim.now() + Duration::nanos(draw_delta()));
+      check_slots();
+      if (rng() % 4 != 0) {  // some cycles carry their pending events over
+        sim.clear();
+        peak_pending = 0;
+        check_slots();
+      }
+    }
+    sim.run();
+    check_slots();
   }
 
   void run_scenario() {
+    if (style == Style::kChurn) {
+      run_churn();
+      return;
+    }
     const int batches = 4;
     for (int b = 0; b < batches; ++b) {
       const std::uint64_t batch = 20 + rng() % 40;
@@ -116,6 +163,7 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     if (suite.find("Clear") != std::string::npos) return Style::kClear;
     if (suite.find("Boundary") != std::string::npos) return Style::kBoundary;
     if (suite.find("Overflow") != std::string::npos) return Style::kOverflow;
+    if (suite.find("Churn") != std::string::npos) return Style::kChurn;
     return Style::kMixed;
   }
 
@@ -146,6 +194,7 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     EXPECT_EQ(bucketed.sim.executed_events(), reference.sim.executed_events());
     EXPECT_EQ(bucketed.sim.pending_events(), 0u);
     EXPECT_EQ(bucketed.sim.now(), reference.sim.now());
+    EXPECT_EQ(bucketed.slot_mismatches, 0);
   }
 };
 
@@ -172,6 +221,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BucketBoundary, ::testing::Range<std::uint64_t>(
 using OverflowHeap = EnginePropertyTest;
 TEST_P(OverflowHeap, MatchesReferenceAndOrderLaws) { run_and_compare(); }
 INSTANTIATE_TEST_SUITE_P(Seeds, OverflowHeap, ::testing::Range<std::uint64_t>(500, 524));
+
+using SlotReuseChurn = EnginePropertyTest;
+TEST_P(SlotReuseChurn, MatchesReferenceAndOrderLaws) { run_and_compare(); }
+INSTANTIATE_TEST_SUITE_P(Seeds, SlotReuseChurn, ::testing::Range<std::uint64_t>(700, 724));
 
 // The horizon law needs direct inspection too (the differential comparison
 // alone can't see *which* events stayed pending).

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace fbdcsim::sim {
@@ -120,6 +123,13 @@ TEST(PeriodicTimerTest, CancelStopsFiring) {
 TEST(PeriodicTimerTest, RejectsNonPositivePeriod) {
   Simulator sim;
   EXPECT_THROW(PeriodicTimer(sim, Duration{}, [](TimePoint) {}), std::invalid_argument);
+}
+
+TEST(PeriodicTimerTest, RejectsEmptyTick) {
+  Simulator sim;
+  EXPECT_THROW(PeriodicTimer(sim, Duration::millis(10), PeriodicTimer::Tick{}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(PeriodicTimerTest, TickCancellingOwnTimerDoesNotReschedule) {
@@ -292,6 +302,255 @@ TEST(SimulatorTest, MoveOnlyCallablesWorkOnBothEngines) {
     sim.run();
     EXPECT_EQ(seen, 17);
   }
+}
+
+constexpr Simulator::Engine kBothEngines[] = {Simulator::Engine::kBucketed,
+                                              Simulator::Engine::kReference};
+
+TEST(SimulatorTest, RejectsEmptyActionsWhenScheduled) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Simulator sim{engine};
+    const TimePoint t = TimePoint::from_nanos(10);
+    EXPECT_THROW(sim.schedule_at(t, InlineAction{}), std::invalid_argument);
+    EXPECT_THROW(sim.schedule_at(t, std::function<void()>{}), std::invalid_argument);
+    void (*null_fn)() = nullptr;
+    EXPECT_THROW(sim.schedule_after(Duration::nanos(5), null_fn), std::invalid_argument);
+    EXPECT_EQ(sim.pending_events(), 0u);
+    // Nothing was queued, so the run is empty rather than a crash.
+    bool fired = false;
+    sim.schedule_at(t, [&fired] { fired = true; });
+    sim.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sim.executed_events(), 1u);
+  }
+}
+
+/// Records, per action id, how often it ran and how often its capture was
+/// destroyed. Moved-from captures do not count, so every scheduled action
+/// must end at exactly one destruction however the engine stores it.
+struct Lifetimes {
+  std::vector<int> ran;
+  std::vector<int> destroyed;
+
+  class Probe {
+   public:
+    Probe(Lifetimes* l, std::size_t id) : owner_{l}, id_{id} {}
+    Probe(Probe&& other) noexcept
+        : owner_{std::exchange(other.owner_, nullptr)}, id_{other.id_} {}
+    Probe(const Probe&) = delete;
+    Probe& operator=(const Probe&) = delete;
+    Probe& operator=(Probe&&) = delete;
+    ~Probe() {
+      if (owner_ != nullptr) ++owner_->destroyed[id_];
+    }
+    void ran() const { ++owner_->ran[id_]; }
+
+   private:
+    Lifetimes* owner_;
+    std::size_t id_;
+  };
+
+  /// A new action id whose action runs `body` after counting the run.
+  template <typename Body>
+  auto action(Body body) {
+    ran.push_back(0);
+    destroyed.push_back(0);
+    return [probe = Probe{this, ran.size() - 1}, body]() mutable {
+      probe.ran();
+      body();
+    };
+  }
+  auto action() {
+    return action([] {});
+  }
+};
+
+TEST(SimulatorLifetimeTest, ActionThatRunsIsDestroyedOnce) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Lifetimes life;
+    Simulator sim{engine};
+    sim.schedule_at(TimePoint::from_nanos(5'000), life.action());       // wheel
+    sim.schedule_at(TimePoint::from_nanos(5'000), life.action());       // equal time
+    sim.schedule_at(TimePoint::from_nanos(2'000), life.action());       // out of order
+    sim.schedule_at(TimePoint::from_seconds(1.0), life.action());       // overflow
+    sim.schedule_at(TimePoint::from_nanos(1'000), life.action([&] {     // active heap
+      sim.schedule_at(sim.now(), life.action());
+    }));
+    sim.run();
+    EXPECT_EQ(life.ran, std::vector<int>(6, 1));
+    EXPECT_EQ(life.destroyed, std::vector<int>(6, 1));
+  }
+}
+
+TEST(SimulatorLifetimeTest, ClearDestroysDroppedActionsOnce) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Lifetimes life;
+    Simulator sim{engine};
+    sim.schedule_at(TimePoint::from_nanos(100), life.action());
+    sim.schedule_at(TimePoint::from_nanos(100), life.action());
+    sim.schedule_at(TimePoint::from_seconds(2.0), life.action());
+    sim.clear();
+    EXPECT_EQ(life.destroyed, std::vector<int>(3, 1));
+    sim.run();
+    EXPECT_EQ(life.ran, std::vector<int>(3, 0));
+    EXPECT_EQ(life.destroyed, std::vector<int>(3, 1));
+  }
+}
+
+TEST(SimulatorLifetimeTest, ClearFromInsideRunningActionKeepsItAlive) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Lifetimes life;
+    Simulator sim{engine};
+    std::vector<int> destroyed_inside;
+    sim.schedule_at(TimePoint::from_nanos(1'000), life.action([&] {
+      sim.clear();  // drops ids 1 and 2; this action (id 0) is still running
+      destroyed_inside = life.destroyed;
+      sim.schedule_after(Duration::nanos(10), life.action());  // id 3
+    }));
+    sim.schedule_at(TimePoint::from_nanos(1'000), life.action());
+    sim.schedule_at(TimePoint::from_seconds(1.0), life.action());
+    sim.run();
+    EXPECT_EQ(destroyed_inside, (std::vector<int>{0, 1, 1}));
+    EXPECT_EQ(life.ran, (std::vector<int>{1, 0, 0, 1}));
+    EXPECT_EQ(life.destroyed, (std::vector<int>{1, 1, 1, 1}));
+  }
+}
+
+TEST(SimulatorLifetimeTest, ActionPendingAtHorizonStopRunsLaterOnce) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Lifetimes life;
+    Simulator sim{engine};
+    sim.schedule_at(TimePoint::from_nanos(100), life.action([&] {
+      // Same bucket, after the horizon: left pending from the active heap.
+      sim.schedule_at(TimePoint::from_nanos(3'000), life.action());
+    }));
+    sim.schedule_at(TimePoint::from_nanos(2'000), life.action());
+    sim.schedule_at(TimePoint::from_seconds(1.0), life.action());
+    sim.run_until(TimePoint::from_nanos(1'000));
+    EXPECT_EQ(life.ran, (std::vector<int>{1, 0, 0, 0}));
+    EXPECT_EQ(life.destroyed, (std::vector<int>{1, 0, 0, 0}));
+    EXPECT_EQ(sim.pending_events(), 3u);
+    sim.run();
+    EXPECT_EQ(life.ran, std::vector<int>(4, 1));
+    EXPECT_EQ(life.destroyed, std::vector<int>(4, 1));
+  }
+}
+
+TEST(SimulatorLifetimeTest, ActionPendingAtSimulatorDestructionIsDestroyedOnce) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Lifetimes life;
+    {
+      Simulator sim{engine};
+      sim.schedule_at(TimePoint::from_nanos(100), life.action());
+      sim.schedule_at(TimePoint::from_nanos(9'000), life.action());
+      sim.schedule_at(TimePoint::from_seconds(1.0), life.action());
+      sim.run_until(TimePoint::from_nanos(500));
+      EXPECT_EQ(life.destroyed, (std::vector<int>{1, 0, 0}));
+    }
+    EXPECT_EQ(life.ran, (std::vector<int>{1, 0, 0}));
+    EXPECT_EQ(life.destroyed, std::vector<int>(3, 1));
+  }
+}
+
+TEST(SimulatorLifetimeTest, ThrowingActionPropagatesAndLaterEventsStillRunInOrder) {
+  for (const auto engine : kBothEngines) {
+    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+    Lifetimes life;
+    Simulator sim{engine};
+    std::vector<int> order;
+    sim.schedule_at(TimePoint::from_nanos(100), life.action([&] {
+      order.push_back(0);
+      // Both land in the bucket being drained (the active heap); the first
+      // throws, the second must survive the unwinding and run on the next
+      // call.
+      sim.schedule_at(TimePoint::from_nanos(200), life.action([&] {
+        order.push_back(1);
+        throw std::runtime_error{"action failed"};
+      }));
+      sim.schedule_at(TimePoint::from_nanos(300), life.action([&] { order.push_back(2); }));
+    }));
+    sim.schedule_at(TimePoint::from_nanos(300), life.action([&] { order.push_back(3); }));
+    sim.schedule_at(TimePoint::from_nanos(9'000), life.action([&] { order.push_back(4); }));
+    sim.schedule_at(TimePoint::from_seconds(1.0), life.action([&] { order.push_back(5); }));
+
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(sim.now(), TimePoint::from_nanos(200));
+    // Ids follow creation: 0, then the labels 3/4/5 (ids 1-3), then the
+    // two scheduled from inside id 0 (ids 4 and 5; id 4 threw).
+    EXPECT_EQ(life.destroyed, (std::vector<int>{1, 0, 0, 0, 1, 0}));
+    EXPECT_EQ(sim.pending_events(), 4u);
+    sim.run();
+    // (time, seq): the t=300 event scheduled first (label 3) runs before
+    // the one scheduled from inside the first action (label 2).
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2, 4, 5}));
+    EXPECT_EQ(life.ran, std::vector<int>(6, 1));
+    EXPECT_EQ(life.destroyed, std::vector<int>(6, 1));
+
+    // The thrown action's slot went back to the free list: as many actions
+    // as were ever pending at once (five, while the first action ran) fit
+    // again without the slab growing.
+    const std::size_t slots = sim.action_slots();
+    if (engine == Simulator::Engine::kBucketed) {
+      EXPECT_EQ(slots, 5u);
+    }
+    for (std::size_t i = 0; i < slots; ++i) {
+      sim.schedule_after(Duration::nanos(static_cast<std::int64_t>(i)), life.action());
+    }
+    EXPECT_EQ(sim.action_slots(), slots);
+    sim.run();
+    EXPECT_EQ(life.destroyed, std::vector<int>(life.ran.size(), 1));
+  }
+}
+
+/// Counts its own move-constructions per id.
+struct MoveCounter {
+  std::vector<int>* moves;
+  std::size_t id;
+  MoveCounter(std::vector<int>* m, std::size_t i) : moves{m}, id{i} {}
+  MoveCounter(MoveCounter&& other) noexcept : moves{other.moves}, id{other.id} {
+    ++(*moves)[id];
+  }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+  void operator()() const {}
+};
+
+TEST(SimulatorTest, QueuesMoveKeysNotActions) {
+  // On the bucketed engine a callable is moved three times whatever queue
+  // path it takes: into its InlineAction, into a slab slot, and out of the
+  // slot when it runs. Bucket sorts, heap sifts and migrations move keys.
+  Simulator sim;
+  constexpr std::size_t kActions = 8;
+  // Grow the slab first so no slot-vector growth moves actions below.
+  for (std::size_t i = 0; i < kActions; ++i) sim.schedule_at(TimePoint::from_nanos(1), [] {});
+  sim.run();
+  ASSERT_EQ(sim.action_slots(), kActions);
+
+  std::vector<int> moves(7, 0);
+  const TimePoint base = TimePoint::from_nanos(4096 * 10);
+  // Out-of-order appends into one bucket: sorted when the cursor gets there.
+  sim.schedule_at(base + Duration::nanos(300), MoveCounter{&moves, 0});
+  sim.schedule_at(base + Duration::nanos(200), MoveCounter{&moves, 1});
+  sim.schedule_at(base + Duration::nanos(100), MoveCounter{&moves, 2});
+  // Beyond the wheel window: overflow heap, then migration.
+  sim.schedule_at(TimePoint::from_seconds(0.5), MoveCounter{&moves, 3});
+  sim.schedule_at(TimePoint::from_seconds(0.2), MoveCounter{&moves, 4});
+  // Into the bucket being drained: the active heap.
+  sim.schedule_at(base, [&] {
+    sim.schedule_at(sim.now() + Duration::nanos(50), MoveCounter{&moves, 5});
+    sim.schedule_at(sim.now() + Duration::nanos(20), MoveCounter{&moves, 6});
+  });
+  sim.run();
+  EXPECT_EQ(moves, std::vector<int>(7, 3));
+  EXPECT_EQ(sim.action_slots(), kActions);
 }
 
 }  // namespace

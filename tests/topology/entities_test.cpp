@@ -57,6 +57,30 @@ TEST(FleetBuilderTest, AddressesAreUniqueAndResolvable) {
   }
 }
 
+TEST(FleetBuilderTest, RackIndexInAddressFollowsClusterDeclarationOrder) {
+  // A rack's index within its datacenter counts the racks of the clusters
+  // declared before its own, then its place in its cluster, as they stand
+  // when the host is added (here a rack joins the first cluster after the
+  // second cluster already has one).
+  FleetBuilder b;
+  const DatacenterId dc = b.add_datacenter(b.add_site("s0"));
+  const ClusterId first = b.add_cluster(dc, ClusterType::kFrontend);
+  const ClusterId second = b.add_cluster(dc, ClusterType::kHadoop);
+  const RackId a = b.add_rack(first, core::HostRole::kWeb);
+  const RackId c = b.add_rack(second, core::HostRole::kHadoop);
+  const RackId late = b.add_rack(first, core::HostRole::kWeb);
+  const core::HostId in_a = b.add_host(a);
+  const core::HostId in_c = b.add_host(c);
+  const core::HostId in_late = b.add_host(late);
+  const Fleet f = b.build();
+  const auto rack_in_dc = [&](core::HostId h) {
+    return AddressPlan::coordinates_of(f.host(h).addr)->rack_in_dc;
+  };
+  EXPECT_EQ(rack_in_dc(in_a), 0u);
+  EXPECT_EQ(rack_in_dc(in_c), 2u);
+  EXPECT_EQ(rack_in_dc(in_late), 1u);
+}
+
 TEST(FleetBuilderTest, UnknownAddressResolvesInvalid) {
   const Fleet f = two_dc_fleet();
   EXPECT_FALSE(f.host_by_addr(core::Ipv4Addr{192, 168, 0, 1}).is_valid());
