@@ -4,11 +4,12 @@
 //     workload, with bit-identity of the resulting locality matrix
 //     asserted for every worker count.
 //  2. Hot-path event-engine storm: the same deterministic single-threaded
-//     event storm on the reference heap engine (the pre-rewrite
-//     binary-heap/std::function implementation, kept as
-//     Engine::kReference) and the bucketed calendar-wheel engine, with
-//     checksums asserted bit-identical and a >=1.5x events/sec gate on the
-//     bucketed engine. Both rates land in the report's "extra" JSON.
+//     event storm on the reference heap scheduler (the pre-rewrite
+//     binary-heap/std::function engine, kept as a test oracle in
+//     tests/support/reference_scheduler.h) and on sim::Simulator's
+//     calendar-wheel engine, with checksums asserted bit-identical and a
+//     >=1.5x events/sec gate on sim::Simulator. Both rates land in the
+//     report's "extra" JSON.
 //
 // Exits non-zero on any mismatch, a failed engine gate, or — on hardware
 // with at least 4 cores — if 4 workers fail to reach a 2x speedup.
@@ -16,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,6 +25,7 @@
 #include "fbdcsim/runtime/sharded_fleet.h"
 #include "fbdcsim/sim/simulator.h"
 #include "fbdcsim/workload/fleet_flows.h"
+#include "reference_scheduler.h"
 
 using namespace fbdcsim;
 
@@ -92,7 +93,7 @@ int compare(const RunResult& ref, const RunResult& got, int workers) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: hot-path engine storm (reference heap vs bucketed scheduler).
+// Section 2: hot-path engine storm (reference heap vs calendar scheduler).
 
 struct StormOutcome {
   double seconds{0.0};
@@ -104,23 +105,18 @@ struct StormOutcome {
 /// A deterministic single-threaded event storm shaped like the rack-sim
 /// hot path: many sources rescheduling themselves with small captured
 /// state (48 bytes — within InlineAction's inline buffer), delays mostly
-/// inside the bucketed engine's wheel window with occasional far jumps
-/// through the overflow heap, plus a handful of PeriodicTimers.
+/// inside the calendar engine's wheel window with occasional far jumps
+/// through the overflow heap, plus a handful of periodic timers. `Sched`
+/// is sim::Simulator or the reference oracle; both see the same schedule
+/// calls in the same order.
+template <typename Sched>
 class EngineStorm {
  public:
-  explicit EngineStorm(sim::Simulator::Engine engine) : sim_{engine} {}
-
   StormOutcome run() {
     for (std::uint32_t id = 0; id < kSources; ++id) {
       schedule_next(0x9E3779B97F4A7C15ULL * (id + 1), id);
     }
-    timers_.reserve(kTimers);
-    for (std::int64_t t = 0; t < kTimers; ++t) {
-      timers_.push_back(std::make_unique<sim::PeriodicTimer>(
-          sim_, core::Duration::micros(50 + 7 * t), [this](core::TimePoint at) {
-            checksum_ = mix(checksum_, static_cast<std::uint64_t>(at.count_nanos()));
-          }));
-    }
+    for (std::int64_t t = 0; t < kTimers; ++t) arm_timer(core::Duration::micros(50 + 7 * t));
     const double t0 = now_seconds();
     sim_.run_until(core::TimePoint::from_nanos(kHorizonNs));
     StormOutcome out;
@@ -148,6 +144,15 @@ class EngineStorm {
     return s;
   }
 
+  /// A periodic timer as sim::PeriodicTimer schedules it: the first tick
+  /// one period from now, each tick re-arming the next after it runs.
+  void arm_timer(core::Duration period) {
+    sim_.schedule_after(period, [this, period] {
+      checksum_ = mix(checksum_, static_cast<std::uint64_t>(sim_.now().count_nanos()));
+      arm_timer(period);
+    });
+  }
+
   void schedule_next(std::uint64_t state, std::uint32_t id) {
     // Timer-wheel-shaped steps of 0.5 µs – 4 ms: the 2048 sources spread
     // across the whole 4.2 ms wheel window, so buckets stay sparse while
@@ -167,16 +172,16 @@ class EngineStorm {
     });
   }
 
-  sim::Simulator sim_;
+  Sched sim_;
   std::uint64_t checksum_{0};
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> timers_;
 };
 
 /// Best-of-two timed runs (the storm is deterministic, so both runs
 /// produce the same outcome; the min smooths scheduler noise).
-StormOutcome measure_storm(sim::Simulator::Engine engine) {
-  StormOutcome best = EngineStorm{engine}.run();
-  const StormOutcome again = EngineStorm{engine}.run();
+template <typename Sched>
+StormOutcome measure_storm() {
+  StormOutcome best = EngineStorm<Sched>{}.run();
+  const StormOutcome again = EngineStorm<Sched>{}.run();
   if (again.seconds < best.seconds) best = again;
   return best;
 }
@@ -247,9 +252,9 @@ int main() {
   // Section 2: the event-engine storm. Single-threaded by construction
   // (one Simulator), so the >=1.5x gate holds at FBDCSIM_THREADS=1 and is
   // unaffected by pool width.
-  std::printf("\nevent-engine storm: reference heap engine vs bucketed scheduler\n");
-  const StormOutcome ref = measure_storm(sim::Simulator::Engine::kReference);
-  const StormOutcome buck = measure_storm(sim::Simulator::Engine::kBucketed);
+  std::printf("\nevent-engine storm: reference heap scheduler vs sim::Simulator\n");
+  const StormOutcome ref = measure_storm<tests::ReferenceScheduler>();
+  const StormOutcome buck = measure_storm<sim::Simulator>();
   const double ref_eps = static_cast<double>(ref.events) / ref.seconds;
   const double buck_eps = static_cast<double>(buck.events) / buck.seconds;
   const double engine_speedup = buck_eps / ref_eps;
@@ -263,11 +268,11 @@ int main() {
               static_cast<unsigned long long>(buck.checksum));
   if (buck.checksum != ref.checksum || buck.events != ref.events ||
       buck.pending != ref.pending) {
-    std::printf("engine equivalence: FAIL — storm outcomes differ between engines\n");
+    std::printf("engine equivalence: FAIL — storm outcomes differ between schedulers\n");
     ++mismatches;
   } else {
     std::printf("engine equivalence: PASS — identical checksum, executed events, and "
-                "pending events on both engines\n");
+                "pending events on both schedulers\n");
   }
   std::printf("engine speedup gate (>=1.5x events/sec): %s (%.2fx)\n",
               engine_speedup >= 1.5 ? "PASS" : "FAIL", engine_speedup);

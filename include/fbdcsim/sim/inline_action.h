@@ -13,10 +13,10 @@
 //
 // Moving an InlineAction is a relocation: an indirect call that
 // move-constructs the callable (up to 56 bytes) and destroys the source.
-// The bucketed engine therefore keeps actions out of its queues: each one
-// is relocated twice per event, into a slab slot when scheduled and out of
-// it just before it runs, while the wheel, sorts and heaps move 24-byte
-// keys (DESIGN.md §9).
+// The engine therefore keeps actions out of its queues: each one is
+// relocated twice per event, into a slab slot when scheduled and out of it
+// just before it runs, while the wheel, sorts and heaps move 24-byte keys
+// (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -34,10 +34,9 @@ class InlineAction {
   static constexpr std::size_t kInlineBytes = 56;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-  /// Whether a callable of type F is stored inline (compile-time, so both
-  /// engines count the same schedule the same way regardless of how they
-  /// store it). Requires nothrow move so relocating a queued event can
-  /// never throw mid-engine.
+  /// Whether a callable of type F is stored inline (compile-time; the
+  /// engine counts each schedule by it, via is_inline()). Requires nothrow
+  /// move so relocating a queued event can never throw mid-engine.
   template <typename F>
   static constexpr bool fits_inline = sizeof(F) <= kInlineBytes &&
                                       alignof(F) <= kInlineAlign &&

@@ -80,9 +80,8 @@ struct RackSimConfig {
   Transport transport = Transport::kScripted;
   /// Flow-level TCP tuning, used only when `transport == kTcp`.
   transport::TcpParams tcp;
-  /// Event-engine selection. kBucketed is the production engine;
-  /// kReference exists for the differential bit-identity harness
-  /// (tests/sim/engine_differential_*) and engine benchmarks.
+  /// Leftover of the removed engine switch, read by nothing: there is one
+  /// engine. Kept only because perfbench/src/workloads.cpp still assigns it.
   sim::Simulator::Engine engine = sim::Simulator::Engine::kBucketed;
   /// Sim-time observability (DESIGN.md §11). Off by default: runs stay
   /// byte-identical to pre-observability releases. When enabled (and
@@ -168,7 +167,7 @@ class RackSimulation : public services::TrafficSink {
   services::ServiceMix background_mix_;
   core::RackId rack_;
 
-  sim::Simulator sim_{config_.engine};
+  sim::Simulator sim_;
   std::unique_ptr<switching::SharedBufferSwitch> rsw_;
   /// Flow-level TCP engine; null in scripted mode. Constructed before the
   /// models so Wire can pick it up via TrafficSink::transport().

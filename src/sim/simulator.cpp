@@ -50,18 +50,32 @@ class Simulator::RunMetricsScope {
 };
 #endif
 
-namespace {
+/// run_loop's one epilogue, on the normal and the throwing exit alike:
+/// leaves drain mode and folds keys still in the active heap (a horizon
+/// stop, or an action that threw, can leave some) back into the cursor
+/// bucket, so active_ is empty whenever no run is in progress.
+class Simulator::DrainScope {
+ public:
+  explicit DrainScope(Simulator& sim) : sim_{&sim} { sim.draining_ = true; }
+  DrainScope(const DrainScope&) = delete;
+  DrainScope& operator=(const DrainScope&) = delete;
 
-/// (time, seq) ascending — the execution order.
-template <typename E>
-bool earlier(const E& a, const E& b) {
-  if (a.at != b.at) return a.at < b.at;
-  return a.seq < b.seq;
-}
+  ~DrainScope() {
+    sim_->draining_ = false;
+    if (sim_->active_.empty()) return;
+    Bucket& b = sim_->wheel_[sim_->cursor_ & kWheelMask];
+    while (!sim_->active_.empty()) {
+      b.items.push_back(sim_->active_.top());
+      sim_->active_.pop();
+    }
+    b.dirty = true;
+  }
 
-}  // namespace
+ private:
+  Simulator* sim_;
+};
 
-void Simulator::schedule_bucketed(TimePoint at, Action action) {
+void Simulator::enqueue(TimePoint at, Action&& action) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slab_.size());
@@ -100,11 +114,6 @@ void Simulator::schedule_bucketed(TimePoint at, Action action) {
   b.items.push_back(key);
 }
 
-void Simulator::schedule_reference(TimePoint at, std::function<void()> action) {
-  ref_queue_.push(RefEvent{at, next_seq_++, std::move(action)});
-  ++size_;
-}
-
 void Simulator::migrate_overflow() {
   // Overflow pops in (time, seq) order and the bucket index is monotone in
   // time, so the now-in-window events are exactly the heap's top prefix.
@@ -121,6 +130,7 @@ void Simulator::migrate_overflow() {
 void Simulator::run_loop(TimePoint horizon, bool bounded) {
   // Every iteration re-derives its state from the member fields, so an
   // action calling clear() (or scheduling more work) is always observed.
+  const DrainScope drain{*this};
   for (;;) {
     if (size_ == 0) break;
 
@@ -129,7 +139,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
       b.items.erase(b.items.begin(),
                     b.items.begin() + static_cast<std::ptrdiff_t>(b.pos));
       b.pos = 0;
-      std::sort(b.items.begin(), b.items.end(), earlier<Key>);
+      std::sort(b.items.begin(), b.items.end());
       b.dirty = false;
     }
 
@@ -151,7 +161,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
     // Next event = min of the bucket front and the active heap.
     bool from_active = !bucket_has;
     if (bucket_has && !active_.empty()) {
-      from_active = earlier(active_.top(), b.items[b.pos]);
+      from_active = active_.top() < b.items[b.pos];
     }
     const Key key = from_active ? active_.top() : b.items[b.pos];
     if (bounded && key.at > horizon) break;
@@ -168,35 +178,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
     --size_;
     now_ = key.at;
     ++executed_;
-    draining_ = true;
     action();
-    draining_ = false;
-  }
-  draining_ = false;
-
-  // A horizon stop can leave active-heap events pending; fold them back
-  // into their bucket so the "active_ empty outside the drain" invariant
-  // holds for the next schedule/run.
-  if (!active_.empty()) {
-    Bucket& b = wheel_[cursor_ & kWheelMask];
-    while (!active_.empty()) {
-      b.items.push_back(active_.top());
-      active_.pop();
-    }
-    b.dirty = true;
-  }
-}
-
-void Simulator::run_loop_reference(TimePoint horizon, bool bounded) {
-  while (!ref_queue_.empty() && (!bounded || ref_queue_.top().at <= horizon)) {
-    // priority_queue::top() is const; moving the action out requires a cast.
-    // The pop immediately after makes this safe.
-    RefEvent ev = std::move(const_cast<RefEvent&>(ref_queue_.top()));
-    ref_queue_.pop();
-    --size_;
-    now_ = ev.at;
-    ++executed_;
-    ev.action();
   }
 }
 
@@ -204,11 +186,7 @@ void Simulator::run_until(TimePoint horizon) {
 #if FBDCSIM_TELEMETRY_ENABLED
   RunMetricsScope metrics{*this};
 #endif
-  if (engine_ == Engine::kReference) {
-    run_loop_reference(horizon, /*bounded=*/true);
-  } else {
-    run_loop(horizon, /*bounded=*/true);
-  }
+  run_loop(horizon, /*bounded=*/true);
   if (now_ < horizon) now_ = horizon;
 }
 
@@ -216,11 +194,7 @@ void Simulator::run() {
 #if FBDCSIM_TELEMETRY_ENABLED
   RunMetricsScope metrics{*this};
 #endif
-  if (engine_ == Engine::kReference) {
-    run_loop_reference(TimePoint{}, /*bounded=*/false);
-  } else {
-    run_loop(TimePoint{}, /*bounded=*/false);
-  }
+  run_loop(TimePoint{}, /*bounded=*/false);
 }
 
 void Simulator::clear() {
@@ -233,7 +207,6 @@ void Simulator::clear() {
   while (!overflow_.empty()) overflow_.pop();
   slab_.clear();
   free_slots_.clear();
-  while (!ref_queue_.empty()) ref_queue_.pop();
   size_ = 0;
 }
 

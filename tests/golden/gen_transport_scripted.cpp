@@ -53,10 +53,21 @@
 // scenarios and compares:
 //
 //   ./build/tests/gen_transport_scripted --sim-metrics > tests/golden/rack_sim_metrics.golden.txt
+//
+// With `--engine-reference` it prints the rack-level engine scenarios of
+// tests/support/engine_reference.h, one `<key>: <value>` line each. The
+// committed tests/golden/engine_reference.golden.txt was captured while
+// sim::Simulator could still run the pre-rewrite reference engine, with
+// every scenario on it (the calendar engine's output was byte-identical);
+// EngineReferenceGolden and the engine differential tests re-run the
+// scenarios and compare:
+//
+//   ./build/tests/gen_transport_scripted --engine-reference > tests/golden/engine_reference.golden.txt
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "../support/engine_reference.h"
 #include "../support/rack_fingerprint.h"
 #include "../support/rack_sim_metrics.h"
 #include "../support/telemetry_on.h"
@@ -79,6 +90,10 @@ int main(int argc, char** argv) {
     for (const std::string& line : tests::rack_sim_metrics_lines()) {
       std::printf("%s\n", line.c_str());
     }
+    return 0;
+  }
+  if (argc > 1 && std::strcmp(argv[1], "--engine-reference") == 0) {
+    std::fputs(tests::golden_text(tests::engine_reference_lines()).c_str(), stdout);
     return 0;
   }
   const bool sack = argc > 1 && std::strcmp(argv[1], "--sack") == 0;

@@ -3,10 +3,12 @@
 // Each seeded case generates a random schedule — batches of events across
 // bucket and wheel-window boundaries, children scheduled from inside
 // running actions, horizon-bounded runs, occasional mid-action clear() —
-// executes it on both engines, and asserts:
+// executes it on sim::Simulator and on the reference oracle
+// (tests/support/reference_scheduler.h, the pre-rewrite heap engine), and
+// asserts:
 //
-//   1. the bucketed log is identical to the reference-engine log
-//      (same events, same order, same timestamps);
+//   1. the Simulator log is identical to the oracle's log (same events,
+//      same order, same timestamps);
 //   2. execution times are globally nondecreasing;
 //   3. equal-time events fire in schedule order (ids strictly increase
 //      within every equal-time run);
@@ -14,18 +16,25 @@
 //      clock to h, and leaves strictly-later events pending.
 //
 // The churn style also cycles schedule -> run_until -> clear() many times
-// and checks that the bucketed engine's action slab never holds more slots
-// than the peak number of pending events since the last clear(), i.e. that
+// and checks that the Simulator's action slab never holds more slots than
+// the peak number of pending events since the last clear(), i.e. that
 // every executed or dropped action gives its slot back.
 //
-// The seven style instantiations below total 224 seeded cases.
+// The throwing style lets some actions throw out of run()/run_until();
+// after each throw the test schedules from outside the run, at the
+// current time (the bucket the throw interrupted) and later, and resumes.
+//
+// The eight style instantiations below total 248 seeded cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "../support/reference_scheduler.h"
 #include "fbdcsim/sim/simulator.h"
 
 namespace fbdcsim::sim {
@@ -45,23 +54,28 @@ enum class Style {
   kBoundary,  // times pinned to bucket-boundary multiples +/- 1 ns
   kOverflow,  // mostly far-future events (overflow heap + migration)
   kChurn,     // many schedule -> run_until -> clear() cycles (slot reuse)
+  kThrow,     // some actions throw; the test schedules from outside, resumes
 };
+
+/// What a throwing action throws (run_resuming catches only this).
+struct ActionThrew {};
 
 constexpr std::int64_t kBucketNs = 4096;          // engine bucket width
 constexpr std::int64_t kWindowNs = 1024 * kBucketNs;  // wheel span
 
+template <typename Sched>
 struct Driver {
-  Simulator sim;
+  Sched sim;
   std::mt19937_64 rng;
   Style style;
   std::vector<LogEntry> log;
   std::uint64_t next_id{0};
   std::uint64_t event_budget{600};
   std::size_t peak_pending{0};  // since the last clear()
-  int slot_mismatches{0};       // bucketed: action_slots() != peak_pending
+  int slot_mismatches{0};       // Simulator: action_slots() != peak_pending
+  int throws{0};                // kThrow: exceptions caught out of a run
 
-  Driver(Simulator::Engine engine, std::uint64_t seed, Style s)
-      : sim{engine}, rng{seed}, style{s} {
+  Driver(std::uint64_t seed, Style s) : rng{seed}, style{s} {
     if (style == Style::kChurn) event_budget = 2'000;
   }
 
@@ -93,6 +107,7 @@ struct Driver {
       case Style::kMixed:
       case Style::kHorizon:
       case Style::kClear:
+      case Style::kThrow:
       default:
         switch (rng() % 4) {
           case 0: return static_cast<std::int64_t>(rng() % 8);          // same/near time
@@ -107,18 +122,44 @@ struct Driver {
     if (next_id >= event_budget) return;
     const std::uint64_t id = next_id++;
     const bool allow_clear = style == Style::kClear && rng() % 37 == 0;
+    const bool throws_after = style == Style::kThrow && rng() % 23 == 0;
     const int children = static_cast<int>(rng() % 3);
-    sim.schedule_after(Duration::nanos(draw_delta()), [this, id, children, allow_clear] {
-      log.push_back(LogEntry{sim.now().count_nanos(), id});
-      if (allow_clear) sim.clear();
-      for (int c = 0; c < children; ++c) schedule_one();
-    });
+    sim.schedule_after(Duration::nanos(draw_delta()),
+                       [this, id, children, allow_clear, throws_after] {
+                         log.push_back(LogEntry{sim.now().count_nanos(), id});
+                         if (allow_clear) sim.clear();
+                         // Children first, so the throw leaves some of them
+                         // pending in the bucket being drained.
+                         for (int c = 0; c < children; ++c) schedule_one();
+                         if (throws_after) throw ActionThrew{};
+                       });
     peak_pending = std::max(peak_pending, sim.pending_events());
   }
 
   void check_slots() {
-    if (sim.engine() == Simulator::Engine::kBucketed && sim.action_slots() != peak_pending) {
-      ++slot_mismatches;
+    if constexpr (std::is_same_v<Sched, Simulator>) {
+      if (sim.action_slots() != peak_pending) ++slot_mismatches;
+    }
+  }
+
+  /// Runs `run_call` to completion. Each time an action throws out of it,
+  /// schedules from outside the run — at the current time, i.e. into the
+  /// bucket the throw interrupted, and at drawn later times — and resumes.
+  template <typename RunCall>
+  void run_resuming(RunCall run_call) {
+    for (;;) {
+      try {
+        run_call();
+        return;
+      } catch (const ActionThrew&) {
+        ++throws;
+        const std::uint64_t id = next_id++;
+        sim.schedule_at(sim.now(), [this, id] {
+          log.push_back(LogEntry{sim.now().count_nanos(), id});
+        });
+        const std::uint64_t later = 1 + rng() % 3;
+        for (std::uint64_t i = 0; i < later; ++i) schedule_one();
+      }
     }
   }
 
@@ -148,10 +189,11 @@ struct Driver {
       const std::uint64_t batch = 20 + rng() % 40;
       for (std::uint64_t i = 0; i < batch; ++i) schedule_one();
       if (style == Style::kHorizon || rng() % 2 == 0) {
-        sim.run_until(sim.now() + Duration::nanos(draw_delta()));
+        const TimePoint horizon = sim.now() + Duration::nanos(draw_delta());
+        run_resuming([&] { sim.run_until(horizon); });
       }
     }
-    sim.run();
+    run_resuming([&] { sim.run(); });
   }
 };
 
@@ -164,6 +206,7 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     if (suite.find("Boundary") != std::string::npos) return Style::kBoundary;
     if (suite.find("Overflow") != std::string::npos) return Style::kOverflow;
     if (suite.find("Churn") != std::string::npos) return Style::kChurn;
+    if (suite.find("Throwing") != std::string::npos) return Style::kThrow;
     return Style::kMixed;
   }
 
@@ -182,19 +225,23 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     const Style style = style_for_suite(
         ::testing::UnitTest::GetInstance()->current_test_info()->test_suite_name());
 
-    Driver bucketed{Simulator::Engine::kBucketed, seed, style};
-    bucketed.run_scenario();
-    Driver reference{Simulator::Engine::kReference, seed, style};
+    Driver<Simulator> engine{seed, style};
+    engine.run_scenario();
+    Driver<tests::ReferenceScheduler> reference{seed, style};
     reference.run_scenario();
 
-    ASSERT_FALSE(bucketed.log.empty());
-    ASSERT_EQ(bucketed.log.size(), reference.log.size());
-    EXPECT_EQ(bucketed.log, reference.log);
-    check_laws(bucketed.log);
-    EXPECT_EQ(bucketed.sim.executed_events(), reference.sim.executed_events());
-    EXPECT_EQ(bucketed.sim.pending_events(), 0u);
-    EXPECT_EQ(bucketed.sim.now(), reference.sim.now());
-    EXPECT_EQ(bucketed.slot_mismatches, 0);
+    ASSERT_FALSE(engine.log.empty());
+    ASSERT_EQ(engine.log.size(), reference.log.size());
+    EXPECT_EQ(engine.log, reference.log);
+    check_laws(engine.log);
+    EXPECT_EQ(engine.sim.executed_events(), reference.sim.executed_events());
+    EXPECT_EQ(engine.sim.pending_events(), 0u);
+    EXPECT_EQ(engine.sim.now(), reference.sim.now());
+    EXPECT_EQ(engine.slot_mismatches, 0);
+    EXPECT_EQ(engine.throws, reference.throws);
+    if (style == Style::kThrow) {
+      EXPECT_GT(engine.throws, 0) << "no action threw; the style tests nothing";
+    }
   }
 };
 
@@ -225,6 +272,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OverflowHeap, ::testing::Range<std::uint64_t>(50
 using SlotReuseChurn = EnginePropertyTest;
 TEST_P(SlotReuseChurn, MatchesReferenceAndOrderLaws) { run_and_compare(); }
 INSTANTIATE_TEST_SUITE_P(Seeds, SlotReuseChurn, ::testing::Range<std::uint64_t>(700, 724));
+
+using ThrowingAction = EnginePropertyTest;
+TEST_P(ThrowingAction, MatchesReferenceAndOrderLaws) { run_and_compare(); }
+INSTANTIATE_TEST_SUITE_P(Seeds, ThrowingAction, ::testing::Range<std::uint64_t>(800, 824));
 
 // The horizon law needs direct inspection too (the differential comparison
 // alone can't see *which* events stayed pending).

@@ -6,11 +6,31 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "../support/reference_scheduler.h"
+
 namespace fbdcsim::sim {
 namespace {
+
+using tests::ReferenceScheduler;
+
+/// Runs `body` once per scheduler type — the production engine, then the
+/// reference oracle — passing std::type_identity<Sched>; both must meet the
+/// same expectations.
+template <typename Body>
+void on_both_schedulers(Body body) {
+  {
+    SCOPED_TRACE("Simulator");
+    body(std::type_identity<Simulator>{});
+  }
+  {
+    SCOPED_TRACE("ReferenceScheduler");
+    body(std::type_identity<ReferenceScheduler>{});
+  }
+}
 
 TEST(SimulatorTest, EventsFireInTimeOrder) {
   Simulator sim;
@@ -161,25 +181,24 @@ TEST(PeriodicTimerTest, DestroyingTimerInsideOwnTickIsSafe) {
 }
 
 TEST(PeriodicTimerTest, SimulatorClearDuringTickIsSafe) {
-  for (const auto engine : {Simulator::Engine::kBucketed, Simulator::Engine::kReference}) {
-    Simulator sim{engine};
-    int fires = 0;
-    PeriodicTimer timer{sim, Duration::millis(10), [&](TimePoint) {
-      if (++fires == 3) sim.clear();
-    }};
-    sim.run_until(TimePoint::from_nanos(200'000'000));
-    // clear() dropped the pending re-arm event, but the tick itself re-arms
-    // after returning; cancel to stop the chain and drain.
-    EXPECT_GE(fires, 3);
-    timer.cancel();
-    sim.clear();
-    EXPECT_EQ(sim.pending_events(), 0u);
-  }
+  Simulator sim;
+  int fires = 0;
+  PeriodicTimer timer{sim, Duration::millis(10), [&](TimePoint) {
+    if (++fires == 3) sim.clear();
+  }};
+  sim.run_until(TimePoint::from_nanos(200'000'000));
+  // clear() dropped the pending re-arm event, but the tick itself re-arms
+  // after returning; cancel to stop the chain and drain.
+  EXPECT_GE(fires, 3);
+  timer.cancel();
+  sim.clear();
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, ClearInsideActionDropsQueueButKeepsNewSchedules) {
-  for (const auto engine : {Simulator::Engine::kBucketed, Simulator::Engine::kReference}) {
-    Simulator sim{engine};
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
+    Sched sim;
     std::vector<int> order;
     sim.schedule_at(TimePoint::from_seconds(2.0), [&] { order.push_back(2); });
     sim.schedule_at(TimePoint::from_seconds(3.0), [&] { order.push_back(3); });
@@ -191,12 +210,12 @@ TEST(SimulatorTest, ClearInsideActionDropsQueueButKeepsNewSchedules) {
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 5}));
     EXPECT_EQ(sim.now(), TimePoint::from_seconds(5.0));
-  }
+  });
 }
 
 TEST(SimulatorTest, ReferenceEngineMatchesOriginalSemantics) {
-  Simulator sim{Simulator::Engine::kReference};
-  EXPECT_EQ(sim.engine(), Simulator::Engine::kReference);
+  // The oracle itself (tests/support/reference_scheduler.h).
+  ReferenceScheduler sim;
   std::vector<int> order;
   sim.schedule_at(TimePoint::from_seconds(2.0), [&] { order.push_back(2); });
   sim.schedule_at(TimePoint::from_seconds(1.0), [&] { order.push_back(1); });
@@ -293,24 +312,22 @@ TEST(SimulatorTest, PendingEventsTracksAllTiers) {
 }
 
 TEST(SimulatorTest, MoveOnlyCallablesWorkOnBothEngines) {
-  for (const auto engine : {Simulator::Engine::kBucketed, Simulator::Engine::kReference}) {
-    Simulator sim{engine};
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
+    Sched sim;
     auto payload = std::make_unique<int>(17);
     int seen = 0;
     sim.schedule_at(TimePoint::from_nanos(5),
                     [p = std::move(payload), &seen] { seen = *p; });
     sim.run();
     EXPECT_EQ(seen, 17);
-  }
+  });
 }
 
-constexpr Simulator::Engine kBothEngines[] = {Simulator::Engine::kBucketed,
-                                              Simulator::Engine::kReference};
-
 TEST(SimulatorTest, RejectsEmptyActionsWhenScheduled) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
-    Simulator sim{engine};
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
+    Sched sim;
     const TimePoint t = TimePoint::from_nanos(10);
     EXPECT_THROW(sim.schedule_at(t, InlineAction{}), std::invalid_argument);
     EXPECT_THROW(sim.schedule_at(t, std::function<void()>{}), std::invalid_argument);
@@ -323,7 +340,7 @@ TEST(SimulatorTest, RejectsEmptyActionsWhenScheduled) {
     sim.run();
     EXPECT_TRUE(fired);
     EXPECT_EQ(sim.executed_events(), 1u);
-  }
+  });
 }
 
 /// Records, per action id, how often it ran and how often its capture was
@@ -367,10 +384,10 @@ struct Lifetimes {
 };
 
 TEST(SimulatorLifetimeTest, ActionThatRunsIsDestroyedOnce) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
     Lifetimes life;
-    Simulator sim{engine};
+    Sched sim;
     sim.schedule_at(TimePoint::from_nanos(5'000), life.action());       // wheel
     sim.schedule_at(TimePoint::from_nanos(5'000), life.action());       // equal time
     sim.schedule_at(TimePoint::from_nanos(2'000), life.action());       // out of order
@@ -381,14 +398,14 @@ TEST(SimulatorLifetimeTest, ActionThatRunsIsDestroyedOnce) {
     sim.run();
     EXPECT_EQ(life.ran, std::vector<int>(6, 1));
     EXPECT_EQ(life.destroyed, std::vector<int>(6, 1));
-  }
+  });
 }
 
 TEST(SimulatorLifetimeTest, ClearDestroysDroppedActionsOnce) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
     Lifetimes life;
-    Simulator sim{engine};
+    Sched sim;
     sim.schedule_at(TimePoint::from_nanos(100), life.action());
     sim.schedule_at(TimePoint::from_nanos(100), life.action());
     sim.schedule_at(TimePoint::from_seconds(2.0), life.action());
@@ -397,14 +414,14 @@ TEST(SimulatorLifetimeTest, ClearDestroysDroppedActionsOnce) {
     sim.run();
     EXPECT_EQ(life.ran, std::vector<int>(3, 0));
     EXPECT_EQ(life.destroyed, std::vector<int>(3, 1));
-  }
+  });
 }
 
 TEST(SimulatorLifetimeTest, ClearFromInsideRunningActionKeepsItAlive) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
     Lifetimes life;
-    Simulator sim{engine};
+    Sched sim;
     std::vector<int> destroyed_inside;
     sim.schedule_at(TimePoint::from_nanos(1'000), life.action([&] {
       sim.clear();  // drops ids 1 and 2; this action (id 0) is still running
@@ -417,14 +434,14 @@ TEST(SimulatorLifetimeTest, ClearFromInsideRunningActionKeepsItAlive) {
     EXPECT_EQ(destroyed_inside, (std::vector<int>{0, 1, 1}));
     EXPECT_EQ(life.ran, (std::vector<int>{1, 0, 0, 1}));
     EXPECT_EQ(life.destroyed, (std::vector<int>{1, 1, 1, 1}));
-  }
+  });
 }
 
 TEST(SimulatorLifetimeTest, ActionPendingAtHorizonStopRunsLaterOnce) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
     Lifetimes life;
-    Simulator sim{engine};
+    Sched sim;
     sim.schedule_at(TimePoint::from_nanos(100), life.action([&] {
       // Same bucket, after the horizon: left pending from the active heap.
       sim.schedule_at(TimePoint::from_nanos(3'000), life.action());
@@ -438,15 +455,15 @@ TEST(SimulatorLifetimeTest, ActionPendingAtHorizonStopRunsLaterOnce) {
     sim.run();
     EXPECT_EQ(life.ran, std::vector<int>(4, 1));
     EXPECT_EQ(life.destroyed, std::vector<int>(4, 1));
-  }
+  });
 }
 
 TEST(SimulatorLifetimeTest, ActionPendingAtSimulatorDestructionIsDestroyedOnce) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
     Lifetimes life;
     {
-      Simulator sim{engine};
+      Sched sim;
       sim.schedule_at(TimePoint::from_nanos(100), life.action());
       sim.schedule_at(TimePoint::from_nanos(9'000), life.action());
       sim.schedule_at(TimePoint::from_seconds(1.0), life.action());
@@ -455,14 +472,14 @@ TEST(SimulatorLifetimeTest, ActionPendingAtSimulatorDestructionIsDestroyedOnce) 
     }
     EXPECT_EQ(life.ran, (std::vector<int>{1, 0, 0}));
     EXPECT_EQ(life.destroyed, std::vector<int>(3, 1));
-  }
+  });
 }
 
 TEST(SimulatorLifetimeTest, ThrowingActionPropagatesAndLaterEventsStillRunInOrder) {
-  for (const auto engine : kBothEngines) {
-    SCOPED_TRACE(engine == Simulator::Engine::kBucketed ? "bucketed" : "reference");
+  on_both_schedulers([](auto tag) {
+    using Sched = typename decltype(tag)::type;
     Lifetimes life;
-    Simulator sim{engine};
+    Sched sim;
     std::vector<int> order;
     sim.schedule_at(TimePoint::from_nanos(100), life.action([&] {
       order.push_back(0);
@@ -492,20 +509,20 @@ TEST(SimulatorLifetimeTest, ThrowingActionPropagatesAndLaterEventsStillRunInOrde
     EXPECT_EQ(life.ran, std::vector<int>(6, 1));
     EXPECT_EQ(life.destroyed, std::vector<int>(6, 1));
 
-    // The thrown action's slot went back to the free list: as many actions
-    // as were ever pending at once (five, while the first action ran) fit
-    // again without the slab growing.
-    const std::size_t slots = sim.action_slots();
-    if (engine == Simulator::Engine::kBucketed) {
+    if constexpr (std::is_same_v<Sched, Simulator>) {
+      // The thrown action's slot went back to the free list: as many
+      // actions as were ever pending at once (five, while the first action
+      // ran) fit again without the slab growing.
+      const std::size_t slots = sim.action_slots();
       EXPECT_EQ(slots, 5u);
+      for (std::size_t i = 0; i < slots; ++i) {
+        sim.schedule_after(Duration::nanos(static_cast<std::int64_t>(i)), life.action());
+      }
+      EXPECT_EQ(sim.action_slots(), slots);
+      sim.run();
+      EXPECT_EQ(life.destroyed, std::vector<int>(life.ran.size(), 1));
     }
-    for (std::size_t i = 0; i < slots; ++i) {
-      sim.schedule_after(Duration::nanos(static_cast<std::int64_t>(i)), life.action());
-    }
-    EXPECT_EQ(sim.action_slots(), slots);
-    sim.run();
-    EXPECT_EQ(life.destroyed, std::vector<int>(life.ran.size(), 1));
-  }
+  });
 }
 
 /// Counts its own move-constructions per id.
@@ -524,9 +541,9 @@ struct MoveCounter {
 };
 
 TEST(SimulatorTest, QueuesMoveKeysNotActions) {
-  // On the bucketed engine a callable is moved three times whatever queue
-  // path it takes: into its InlineAction, into a slab slot, and out of the
-  // slot when it runs. Bucket sorts, heap sifts and migrations move keys.
+  // A callable is moved three times whatever queue path it takes: into its
+  // InlineAction, into a slab slot, and out of the slot when it runs.
+  // Bucket sorts, heap sifts and migrations move keys.
   Simulator sim;
   constexpr std::size_t kActions = 8;
   // Grow the slab first so no slot-vector growth moves actions below.

@@ -1,16 +1,18 @@
 // Differential gate for the observability layer (DESIGN.md §11): the
 // time-series JSON and tracepoint JSONL a capture produces are part of its
-// deterministic output, so they must be bit-identical across
+// deterministic output, so they must be bit-identical
 //
-//   - the two event engines (kReference heap vs kBucketed), and
-//   - thread-pool widths 1/2/8 (one Simulator per capture on the pool),
+//   - to what the reference heap engine produced (64-bit hashes and totals
+//     recorded in tests/golden/engine_reference.golden.txt), and
+//   - across thread-pool widths 1/2/8 (one Simulator per capture on the pool),
 //
 // under the heaviest observable load we can arrange: flow-level TCP with
 // the heavy fault profile, so drops, RTO fires, fast-retransmit
 // transitions, and fault epochs all hit the flight recorder.
 //
-// On mismatch the flight-recorder JSONL is printed to stderr — the
-// dump-on-differential-mismatch workflow the flight recorder exists for.
+// On a thread-count mismatch the flight-recorder JSONL is printed to
+// stderr — the dump-on-differential-mismatch workflow the flight recorder
+// exists for.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,15 +22,13 @@
 #include <utility>
 #include <vector>
 
+#include "../support/engine_reference.h"
 #include "../support/telemetry_on.h"
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/runtime/thread_pool.h"
-#include "fbdcsim/telemetry/flow_ledger.h"
 #include "fbdcsim/telemetry/telemetry.h"
-#include "fbdcsim/telemetry/timeseries.h"
-#include "fbdcsim/telemetry/tracepoint.h"
 #include "fbdcsim/workload/presets.h"
 #include "fbdcsim/workload/rack_sim.h"
 
@@ -36,48 +36,8 @@ namespace fbdcsim::telemetry {
 namespace {
 
 using core::HostRole;
-
-/// Canonical serialized observability output of one capture.
-struct ObsOutput {
-  std::string timeseries_json;
-  std::string tracepoints_jsonl;
-  std::string flows_jsonl;
-  std::int64_t tracepoint_total{0};
-  std::int64_t flows_total{0};
-};
-
+using tests::ObsOutput;
 using tests::TelemetryOn;
-
-workload::RackSimConfig obs_config(const topology::Fleet& fleet, HostRole role,
-                                   const faults::FaultPlan* plan,
-                                   sim::Simulator::Engine engine) {
-  workload::RackSimConfig cfg =
-      workload::default_rack_config(fleet, role, core::Duration::millis(200));
-  cfg.warmup = core::Duration::millis(100);
-  cfg.transport = workload::Transport::kTcp;
-  cfg.faults = plan;
-  cfg.engine = engine;
-  cfg.obs.mode = ObsConfig::Mode::kOn;
-  cfg.obs.probe_period = core::Duration::micros(20);
-  cfg.obs.series_capacity = 32;
-  cfg.obs.flight_recorder = 128;
-  cfg.obs.flows = true;
-  cfg.obs.flow_capacity = 512;  // small enough that eviction happens too
-  return cfg;
-}
-
-ObsOutput run_one(const topology::Fleet& fleet, HostRole role,
-                  const faults::FaultPlan* plan, sim::Simulator::Engine engine) {
-  workload::RackSimulation rack{fleet, obs_config(fleet, role, plan, engine)};
-  const workload::RackSimResult result = rack.run();
-  ObsOutput out;
-  out.timeseries_json = timeseries_to_json(result.timeseries);
-  out.tracepoints_jsonl = tracepoints_to_jsonl({result.tracepoints});
-  out.tracepoint_total = result.tracepoints.total;
-  out.flows_jsonl = flows_to_jsonl({result.flows});
-  out.flows_total = result.flows.total;
-  return out;
-}
 
 void expect_same(const ObsOutput& baseline, const ObsOutput& got, const char* what) {
   EXPECT_EQ(baseline.timeseries_json, got.timeseries_json) << what;
@@ -96,27 +56,15 @@ void expect_same(const ObsOutput& baseline, const ObsOutput& got, const char* wh
 }
 
 TEST(ObsDifferential, BitIdenticalAcrossEngines) {
-  TelemetryOn on;
-  const topology::Fleet fleet = workload::build_rack_experiment_fleet();
-  const faults::FaultPlan heavy{faults::heavy_profile()};
-  for (const HostRole role : {HostRole::kWeb, HostRole::kHadoop}) {
-    const ObsOutput ref =
-        run_one(fleet, role, &heavy, sim::Simulator::Engine::kReference);
-    const ObsOutput bucketed =
-        run_one(fleet, role, &heavy, sim::Simulator::Engine::kBucketed);
-#if FBDCSIM_TELEMETRY_ENABLED
-    // The heavy profile must actually exercise the recorder, or this gate
-    // compares empty strings forever.
-    EXPECT_GT(ref.tracepoint_total, 0) << "heavy profile produced no tracepoints";
-    EXPECT_NE(ref.timeseries_json, "{\"series\":{}}");
-    // 200 ms of TCP closes transfers past the 512-record ring, so the gate
-    // covers eviction-order determinism, not just the easy no-wrap case.
-    EXPECT_GT(ref.flows_total, 512) << "flows gate never exercised eviction";
-    EXPECT_FALSE(ref.flows_jsonl.empty()) << "flows gate compares empty strings";
-#endif
-    expect_same(ref, bucketed,
-                role == HostRole::kWeb ? "engines, Web" : "engines, Hadoop");
+  if (!FBDCSIM_TELEMETRY_ENABLED) {
+    GTEST_SKIP() << "observability output is compiled out under FBDCSIM_TELEMETRY=OFF";
   }
+  // Web and Hadoop; the recorded tracepoint totals are non-zero and the
+  // flow totals pass the 512-record ring, so the gate covers eviction
+  // order, not just the easy no-wrap case.
+  const topology::Fleet fleet = workload::build_rack_experiment_fleet();
+  EXPECT_EQ(tests::engine_reference_mismatches(tests::obs_lines(fleet)),
+            std::vector<std::string>{});
 }
 
 TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
@@ -128,7 +76,7 @@ TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
     std::vector<std::function<ObsOutput()>> tasks;
     for (const HostRole role : {HostRole::kWeb, HostRole::kHadoop}) {
       tasks.push_back([&fleet, &heavy, role] {
-        return run_one(fleet, role, &heavy, sim::Simulator::Engine::kBucketed);
+        return tests::run_obs_capture(fleet, role, &heavy);
       });
     }
     runtime::ThreadPool pool{workers};

@@ -9,9 +9,10 @@
 //    bitwise kNewReno end to end: ECT stamping and the idling alpha EWMA
 //    must not perturb a single timestamp.
 //  - The opted-in variant (kDctcp + kTopology RTTs) actually marks,
-//    echoes, and reduces — and is bit-identical across the two event
-//    engines and across FBDCSIM_THREADS=1/2/8 pool widths (fingerprints,
-//    switch counters, and the merged Kind::kSim telemetry section).
+//    echoes, and reduces — and is bit-identical to the reference event
+//    engine's recording (tests/golden/engine_reference.golden.txt) and
+//    across FBDCSIM_THREADS=1/2/8 pool widths (fingerprints, switch
+//    counters, and the merged Kind::kSim telemetry section).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/engine_reference.h"
 #include "../support/rack_fingerprint.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/runtime/parallel_capture.h"
@@ -167,33 +169,13 @@ TEST(DctcpDifferential, OptedInVariantMarksEchoesAndReduces) {
 }
 
 TEST(DctcpDifferential, BitIdenticalAcrossEngines) {
+  // Fault-free and heavy-fault Hadoop DCTCP captures (fingerprint, events,
+  // ECN marks) against the reference engine's recording; both rows' marks
+  // are non-zero there, so the gate covers live marking.
   const topology::Fleet fleet = build_rack_experiment_fleet();
-  const faults::FaultPlan heavy{faults::heavy_profile()};
-  for (const bool faulted : {false, true}) {
-    std::uint64_t fp[2];
-    std::uint64_t events[2];
-    std::int64_t marked[2];
-    int i = 0;
-    for (const auto engine :
-         {sim::Simulator::Engine::kReference, sim::Simulator::Engine::kBucketed}) {
-      RackSimConfig cfg =
-          dctcp_config(fleet, HostRole::kHadoop, core::Duration::millis(200));
-      cfg.engine = engine;
-      cfg.sample_buffer = true;
-      if (faulted) cfg.faults = &heavy;
-      RackSimulation rack{fleet, cfg};
-      const RackSimResult result = rack.run();
-      fp[i] = tests::fingerprint(result);
-      events[i] = result.events;
-      marked[i] = result.uplink.ecn_marked_packets + result.downlinks.ecn_marked_packets;
-      ++i;
-    }
-    EXPECT_EQ(fp[0], fp[1]) << "faulted=" << faulted;
-    EXPECT_EQ(events[0], events[1]) << "faulted=" << faulted;
-    EXPECT_EQ(marked[0], marked[1]) << "faulted=" << faulted;
-    EXPECT_GT(marked[0], 0) << "faulted=" << faulted
-                            << ": differential must cover live marking";
-  }
+  EXPECT_EQ(tests::engine_reference_mismatches(
+                tests::tcp_variant_lines(fleet, tests::TcpVariant::kDctcp)),
+            std::vector<std::string>{});
 }
 
 TEST(DctcpDifferential, BitIdenticalAcrossThreadCounts) {

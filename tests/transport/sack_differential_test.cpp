@@ -12,10 +12,11 @@
 //    exist when data lands out of order, so a clean run must not shift a
 //    single timestamp or frame byte.
 //  - The opted-in variant under heavy faults actually records blocks and
-//    repairs from the scoreboard — and is bit-identical across the two
-//    event engines and across FBDCSIM_THREADS=1/2/8 pool widths
-//    (fingerprints and the merged Kind::kSim telemetry section, which
-//    includes the transport.sack_* counters).
+//    repairs from the scoreboard — and is bit-identical to the reference
+//    event engine's recording (tests/golden/engine_reference.golden.txt)
+//    and across FBDCSIM_THREADS=1/2/8 pool widths (fingerprints and the
+//    merged Kind::kSim telemetry section, which includes the
+//    transport.sack_* counters).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/engine_reference.h"
 #include "../support/rack_fingerprint.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/runtime/parallel_capture.h"
@@ -171,36 +173,14 @@ TEST(SackDifferential, OptedInVariantRecordsBlocksAndRepairsFromTheScoreboard) {
 }
 
 TEST(SackDifferential, BitIdenticalAcrossEngines) {
+  // Fault-free and heavy-fault Hadoop SACK captures (fingerprint, events,
+  // SACK retransmits) against the reference engine's recording; the heavy
+  // row's retransmits are non-zero there, so the gate covers live
+  // scoreboard repair.
   const topology::Fleet fleet = build_rack_experiment_fleet();
-  const faults::FaultPlan heavy{faults::heavy_profile()};
-  for (const bool faulted : {false, true}) {
-    std::uint64_t fp[2];
-    std::uint64_t events[2];
-    std::int64_t sack_rtx[2];
-    int i = 0;
-    for (const auto engine :
-         {sim::Simulator::Engine::kReference, sim::Simulator::Engine::kBucketed}) {
-      RackSimConfig cfg =
-          sack_config(fleet, HostRole::kHadoop, core::Duration::millis(200));
-      cfg.engine = engine;
-      cfg.sample_buffer = true;
-      if (faulted) cfg.faults = &heavy;
-      RackSimulation rack{fleet, cfg};
-      const RackSimResult result = rack.run();
-      fp[i] = tests::fingerprint(result);
-      events[i] = result.events;
-      sack_rtx[i] = rack.transport_mux() != nullptr
-                        ? rack.transport_mux()->stats().sack_retransmits
-                        : -1;
-      ++i;
-    }
-    EXPECT_EQ(fp[0], fp[1]) << "faulted=" << faulted;
-    EXPECT_EQ(events[0], events[1]) << "faulted=" << faulted;
-    EXPECT_EQ(sack_rtx[0], sack_rtx[1]) << "faulted=" << faulted;
-    if (faulted) {
-      EXPECT_GT(sack_rtx[0], 0) << "differential must cover live scoreboard repair";
-    }
-  }
+  EXPECT_EQ(tests::engine_reference_mismatches(
+                tests::tcp_variant_lines(fleet, tests::TcpVariant::kSack)),
+            std::vector<std::string>{});
 }
 
 TEST(SackDifferential, BitIdenticalAcrossThreadCounts) {

@@ -9,8 +9,9 @@
 //    from the capture), keeps the paper's ACK/MSS packet-size bimodality
 //    without any scripted size distribution on the path, and responds to
 //    heavy fault profiles with actual retransmissions.
-//  - Engine contract: heap-free events, bit-identical across the two
-//    engines and across thread-pool widths.
+//  - Engine contract: heap-free events, bit-identical to the reference
+//    engine's recording (tests/golden/engine_reference.golden.txt) and
+//    across thread-pool widths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/engine_reference.h"
 #include "../support/rack_fingerprint.h"
 #include "fbdcsim/analysis/packet_stats.h"
 #include "fbdcsim/faults/fault_plan.h"
@@ -236,28 +238,12 @@ TEST(TransportRack, TcpModeEventsAreHeapFree) {
 #endif
 
 TEST(TransportRack, TcpModeIsBitIdenticalAcrossEngines) {
+  // Fault-free and heavy-fault CacheLeader TCP captures against the
+  // reference engine's recording (tests/support/engine_reference.h).
   const topology::Fleet fleet = build_rack_experiment_fleet();
-  const faults::FaultPlan heavy{faults::heavy_profile()};
-  for (const bool faulted : {false, true}) {
-    std::uint64_t fp[2];
-    std::uint64_t events[2];
-    int i = 0;
-    for (const auto engine :
-         {sim::Simulator::Engine::kReference, sim::Simulator::Engine::kBucketed}) {
-      RackSimConfig cfg =
-          tcp_config(fleet, HostRole::kCacheLeader, core::Duration::millis(200));
-      cfg.engine = engine;
-      cfg.sample_buffer = true;
-      if (faulted) cfg.faults = &heavy;
-      RackSimulation rack{fleet, cfg};
-      const RackSimResult result = rack.run();
-      fp[i] = tests::fingerprint(result);
-      events[i] = result.events;
-      ++i;
-    }
-    EXPECT_EQ(fp[0], fp[1]) << "faulted=" << faulted;
-    EXPECT_EQ(events[0], events[1]) << "faulted=" << faulted;
-  }
+  EXPECT_EQ(tests::engine_reference_mismatches(
+                tests::tcp_variant_lines(fleet, tests::TcpVariant::kNewReno)),
+            std::vector<std::string>{});
 }
 
 TEST(TransportRack, TcpModeIsBitIdenticalAcrossThreadCounts) {
