@@ -2,11 +2,9 @@
 
 #include <sys/stat.h>
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
+#include "fbdcsim/core/env.h"
 #include "fbdcsim/runtime/parallel_capture.h"
 
 #ifndef FBDCSIM_GIT_REV
@@ -18,21 +16,20 @@ namespace fbdcsim::bench {
 const char* git_revision() { return FBDCSIM_GIT_REV; }
 
 std::optional<std::int64_t> bench_seconds_env() {
-  const char* env = std::getenv("FBDCSIM_BENCH_SECONDS");
-  if (env == nullptr) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "FBDCSIM_BENCH_SECONDS='%s' is not an integer; ignoring it\n",
-                 env);
-    return std::nullopt;
+  return core::read_env<std::int64_t>("FBDCSIM_BENCH_SECONDS", core::parse_int_in<1>,
+                                      "the nominal length");
+}
+
+BenchEnv::BenchEnv()
+    : fleet_{workload::build_rack_experiment_fleet()},
+      resolver_{fleet_},
+      obs_{telemetry::obs_config_from_env()},
+      cc_{transport::cc_from_env()},
+      recovery_{transport::recovery_from_env()} {
+  if (const faults::FaultConfig cfg = faults::fault_config_from_env();
+      cfg.profile != faults::Profile::kOff) {
+    fault_plan_ = std::make_unique<faults::FaultPlan>(cfg);
   }
-  if (v <= 0) {
-    std::fprintf(stderr, "FBDCSIM_BENCH_SECONDS=%lld must be positive; ignoring it\n", v);
-    return std::nullopt;
-  }
-  return v;
 }
 
 std::int64_t BenchEnv::effective_seconds(std::int64_t nominal) {
@@ -64,41 +61,6 @@ RoleTrace BenchEnv::capture(core::HostRole role, std::int64_t seconds, const Twe
 runtime::ThreadPool& BenchEnv::pool() {
   if (!pool_) pool_ = std::make_unique<runtime::ThreadPool>();
   return *pool_;
-}
-
-const faults::FaultPlan* BenchEnv::fault_plan() {
-  if (!fault_plan_resolved_) {
-    fault_plan_resolved_ = true;
-    const faults::FaultConfig cfg = faults::fault_config_from_env();
-    if (cfg.profile != faults::Profile::kOff) {
-      fault_plan_ = std::make_unique<faults::FaultPlan>(cfg);
-    }
-  }
-  return fault_plan_.get();
-}
-
-const telemetry::ObsConfig& BenchEnv::obs() {
-  if (!obs_resolved_) {
-    obs_resolved_ = true;
-    obs_ = telemetry::obs_config_from_env();
-  }
-  return obs_;
-}
-
-transport::CongestionControl BenchEnv::cc() {
-  if (!cc_resolved_) {
-    cc_resolved_ = true;
-    cc_ = transport::cc_from_env();
-  }
-  return cc_;
-}
-
-transport::LossRecovery BenchEnv::recovery() {
-  if (!recovery_resolved_) {
-    recovery_resolved_ = true;
-    recovery_ = transport::recovery_from_env();
-  }
-  return recovery_;
 }
 
 std::vector<RoleTrace> BenchEnv::capture_all(std::vector<CaptureSpec> specs) {
@@ -163,15 +125,12 @@ void banner(const char* experiment, const char* paper_ref, std::uint64_t seed) {
 }
 
 std::string resolve_out_path(const std::string& filename) {
-  const char* env = std::getenv("FBDCSIM_BENCH_OUT");
-  if (env == nullptr) return filename;
-  if (env[0] == '\0') {
-    std::fprintf(stderr, "FBDCSIM_BENCH_OUT is empty; writing %s to the working "
-                         "directory\n",
-                 filename.c_str());
-    return filename;
-  }
-  std::string base{env};
+  const std::optional<std::string> env = core::read_env<std::string>(
+      "FBDCSIM_BENCH_OUT",
+      [](std::string_view text, std::string&) { return std::optional<std::string>{text}; },
+      "the working directory");
+  if (!env) return filename;
+  std::string base = *env;
   struct stat st{};
   const bool is_dir =
       base.back() == '/' || (::stat(base.c_str(), &st) == 0 && S_ISDIR(st.st_mode));

@@ -47,8 +47,8 @@ inline constexpr std::uint64_t kCanonicalSeed = 42;
 /// Output location comes from FBDCSIM_BENCH_OUT: unset writes to the
 /// working directory; a directory (trailing '/' or an existing one) places
 /// the default file names there; anything else is taken as the exact
-/// report file path. Malformed values are diagnosed on stderr and ignored,
-/// like FBDCSIM_BENCH_SECONDS.
+/// report file path. An empty value is diagnosed and ignored, like every
+/// malformed knob (core/env.h).
 class BenchReport {
  public:
   explicit BenchReport(std::string name, std::uint64_t seed = kCanonicalSeed);
@@ -118,13 +118,12 @@ class BenchReport {
   std::string fct_json_;
 };
 
-/// FBDCSIM_BENCH_SECONDS as a validated value (std::nullopt when unset or
-/// malformed; malformed — including out-of-range — values are diagnosed on
-/// stderr once per call).
+/// FBDCSIM_BENCH_SECONDS as a validated value: an integer >= 1, or
+/// std::nullopt when unset or malformed (diagnosed, core/env.h).
 [[nodiscard]] std::optional<std::int64_t> bench_seconds_env();
 
 /// Resolves FBDCSIM_BENCH_OUT to a concrete path for `filename`: unset (or
-/// empty, with a diagnostic) keeps the working directory, a directory
+/// empty, diagnosed) keeps the working directory, a directory
 /// (trailing '/' or an existing one) prefixes it, anything else is the
 /// exact report path. Exposed for the env-parsing tests.
 [[nodiscard]] std::string resolve_out_path(const std::string& filename);
@@ -140,7 +139,9 @@ struct RoleTrace {
 /// Builds the canonical fleet once and captures per-role traces on demand.
 class BenchEnv {
  public:
-  BenchEnv() : fleet_{workload::build_rack_experiment_fleet()}, resolver_{fleet_} {}
+  /// Builds the fleet and resolves FBDCSIM_FAULTS, FBDCSIM_OBS, FBDCSIM_CC
+  /// and FBDCSIM_RECOVERY once; later changes to them leave this env as is.
+  BenchEnv();
 
   [[nodiscard]] const topology::Fleet& fleet() const { return fleet_; }
   [[nodiscard]] const analysis::AddrResolver& resolver() const { return resolver_; }
@@ -167,28 +168,28 @@ class BenchEnv {
   /// The shared worker pool (created on first use; FBDCSIM_THREADS-sized).
   [[nodiscard]] runtime::ThreadPool& pool();
 
-  /// The fault plan selected by FBDCSIM_FAULTS, resolved once per env.
-  /// Returns nullptr when faults are off (unset, "off", or malformed), so
-  /// consumers hit the zero-cost opt-out path. Benches opt in explicitly —
-  /// captures stay fault-free unless a tweak installs this plan.
-  [[nodiscard]] const faults::FaultPlan* fault_plan();
+  /// The fault plan selected by FBDCSIM_FAULTS. nullptr when faults are
+  /// off (unset, "off", or malformed), so consumers hit the zero-cost
+  /// opt-out path. Benches opt in explicitly — captures stay fault-free
+  /// unless a tweak installs this plan.
+  [[nodiscard]] const faults::FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
-  /// The observability config selected by FBDCSIM_OBS, resolved once per
-  /// env (off when unset or malformed). When enabled, capture()/
-  /// capture_all() apply it to every config before the tweak runs, so
-  /// tweaks can still override per capture.
-  [[nodiscard]] const telemetry::ObsConfig& obs();
+  /// The observability config selected by FBDCSIM_OBS (off when unset or
+  /// malformed). When enabled, capture()/capture_all() apply it to every
+  /// config before the tweak runs, so tweaks can still override per
+  /// capture.
+  [[nodiscard]] const telemetry::ObsConfig& obs() const { return obs_; }
 
-  /// The congestion-control law selected by FBDCSIM_CC, resolved once per
-  /// env (kNewReno when unset, empty, or malformed). capture()/
-  /// capture_all() apply it to every config before the tweak runs; it is
-  /// inert unless the bench (or its tweak) also opts into Transport::kTcp.
-  [[nodiscard]] transport::CongestionControl cc();
+  /// The congestion-control law selected by FBDCSIM_CC (kNewReno when
+  /// unset or malformed). capture()/capture_all() apply it to every config
+  /// before the tweak runs; it is inert unless the bench (or its tweak)
+  /// also opts into Transport::kTcp.
+  [[nodiscard]] transport::CongestionControl cc() const { return cc_; }
 
-  /// The loss-recovery law selected by FBDCSIM_RECOVERY, resolved once per
-  /// env (kNewReno when unset, empty, or malformed). Applied like cc():
-  /// before the tweak, inert without Transport::kTcp.
-  [[nodiscard]] transport::LossRecovery recovery();
+  /// The loss-recovery law selected by FBDCSIM_RECOVERY (kNewReno when
+  /// unset or malformed). Applied like cc(): before the tweak, inert
+  /// without Transport::kTcp.
+  [[nodiscard]] transport::LossRecovery recovery() const { return recovery_; }
 
   /// Effective capture length for a nominal request. Malformed or
   /// non-positive FBDCSIM_BENCH_SECONDS values are diagnosed on stderr and
@@ -200,13 +201,9 @@ class BenchEnv {
   analysis::AddrResolver resolver_;
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<faults::FaultPlan> fault_plan_;
-  bool fault_plan_resolved_{false};
   telemetry::ObsConfig obs_;
-  bool obs_resolved_{false};
-  transport::CongestionControl cc_{transport::CongestionControl::kNewReno};
-  bool cc_resolved_{false};
-  transport::LossRecovery recovery_{transport::LossRecovery::kNewReno};
-  bool recovery_resolved_{false};
+  transport::CongestionControl cc_;
+  transport::LossRecovery recovery_;
 };
 
 /// Prints a CDF as (quantile, value) rows at the paper's usual quantiles.

@@ -105,13 +105,13 @@ struct FaultConfig {
 
 /// Parses a FBDCSIM_FAULTS spec: "off" | "light" | "heavy" | <profile
 /// file>. A profile file holds `key = value` lines ('#' comments; keys are
-/// the FaultConfig field names). Returns std::nullopt and fills *error on
-/// malformed specs — callers treat that as "off" after diagnosing.
+/// the FaultConfig field names). Returns std::nullopt and explains it in
+/// `why` on malformed specs — callers treat that as "off".
 [[nodiscard]] std::optional<FaultConfig> parse_fault_spec(std::string_view spec,
-                                                          std::string* error);
+                                                          std::string& why);
 
 /// FBDCSIM_FAULTS from the environment. Unset, "off", and malformed values
-/// (diagnosed on stderr) all yield a disabled config — never a crash.
+/// (diagnosed, core/env.h) all yield a disabled config — never a crash.
 [[nodiscard]] FaultConfig fault_config_from_env();
 
 /// The schedule. Queries are const, thread-safe, and allocation-free.

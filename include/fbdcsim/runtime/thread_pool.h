@@ -8,8 +8,8 @@
 // (the fork-per-host RngStream contract) and merge results in a canonical
 // order.
 //
-// Worker count comes from FBDCSIM_THREADS when set (clamped to >= 1),
-// otherwise std::thread::hardware_concurrency().
+// Worker count comes from FBDCSIM_THREADS when set (1..4096), otherwise
+// std::thread::hardware_concurrency().
 #pragma once
 
 #include <condition_variable>
@@ -23,9 +23,9 @@
 
 namespace fbdcsim::runtime {
 
-/// Effective worker count: FBDCSIM_THREADS if set to a valid positive
-/// integer (malformed values are diagnosed on stderr and ignored),
-/// otherwise the hardware concurrency (at least 1).
+/// Effective worker count: FBDCSIM_THREADS if set to an integer in 1..4096
+/// (malformed values are diagnosed, core/env.h), otherwise the hardware
+/// concurrency (at least 1).
 [[nodiscard]] int env_thread_count();
 
 /// A fixed pool of worker threads draining a bounded FIFO task queue.

@@ -35,11 +35,13 @@ enum class Kind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Kind kind);
 
+/// The FBDCSIM_TELEMETRY environment knob (0/1/on/off/true/false); unset or
+/// malformed (diagnosed, core/env.h) -> on. Re-reads the environment.
+[[nodiscard]] bool enabled_from_env();
+
 /// Process-wide runtime switch. The compile-time FBDCSIM_TELEMETRY toggle
 /// removes instrumentation sites entirely; this switch silences the ones
-/// that remain. Initial state comes from the FBDCSIM_TELEMETRY environment
-/// variable (0/1/on/off/true/false; malformed values are diagnosed on
-/// stderr and treated as on).
+/// that remain. Initial state comes from enabled_from_env().
 class Telemetry {
  public:
   [[nodiscard]] static bool enabled() noexcept {

@@ -14,9 +14,8 @@
 //   flows:N  like `flows` with a ledger ring capacity of N records
 //            (1..1048576).
 //
-// Malformed values follow the same contract as FBDCSIM_FAULTS /
-// FBDCSIM_BENCH_SECONDS: one stderr diagnostic, then the documented default
-// (off) — never a crash.
+// Malformed values follow every knob's contract (core/env.h): one stderr
+// diagnostic, then the documented default (off) — never a crash.
 #pragma once
 
 #include <cstddef>
@@ -55,14 +54,13 @@ struct ObsConfig {
 
 [[nodiscard]] const char* to_string(ObsConfig::Mode mode);
 
-/// Parses an FBDCSIM_OBS value (`off|on|dump[:N]|flows[:N]`, lowercase). Returns
-/// std::nullopt on malformed input and, when `error` is non-null, explains
-/// why.
+/// Parses an FBDCSIM_OBS value (`off|on|dump[:N]|flows[:N]`, lowercase).
+/// Returns std::nullopt on malformed input and explains it in `why`.
 [[nodiscard]] std::optional<ObsConfig> parse_obs_spec(std::string_view spec,
-                                                      std::string* error = nullptr);
+                                                      std::string& why);
 
-/// FBDCSIM_OBS resolved against the contract above: unset -> off; malformed
-/// -> off with one stderr diagnostic per call.
+/// FBDCSIM_OBS resolved against the contract above: unset or malformed ->
+/// off.
 [[nodiscard]] ObsConfig obs_config_from_env();
 
 }  // namespace fbdcsim::telemetry

@@ -93,11 +93,10 @@ class TransportMux final : public DemandSink {
   };
 
   /// `sink` is the rack simulation (must outlive the mux); `faults` may be
-  /// null. `seed` salts nothing today but pins the constructor signature
-  /// for future per-run randomization knobs.
+  /// null.
   TransportMux(sim::Simulator& sim, const topology::Fleet& fleet,
                services::TrafficSink& sink, TcpParams params,
-               const faults::FaultPlan* faults, std::uint64_t seed);
+               const faults::FaultPlan* faults);
   ~TransportMux() override;
 
   TransportMux(const TransportMux&) = delete;

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 
 #include "fbdcsim/core/packet.h"
@@ -23,12 +25,13 @@ enum class CongestionControl : std::uint8_t {
 [[nodiscard]] const char* to_string(CongestionControl cc);
 
 /// Parses a FBDCSIM_CC-style spec ("reno" | "newreno" | "dctcp",
-/// case-sensitive). Returns true on success; on failure leaves `out`
-/// untouched and returns false.
-[[nodiscard]] bool parse_cc_spec(std::string_view spec, CongestionControl& out);
+/// case-sensitive). Returns std::nullopt and explains it in `why` on
+/// failure.
+[[nodiscard]] std::optional<CongestionControl> parse_cc_spec(std::string_view spec,
+                                                             std::string& why);
 
-/// Resolves the FBDCSIM_CC environment variable: unset/empty -> kNewReno;
-/// malformed -> kNewReno plus one stderr diagnostic. Never throws.
+/// Resolves the FBDCSIM_CC environment knob: unset or malformed (diagnosed,
+/// core/env.h) -> kNewReno.
 [[nodiscard]] CongestionControl cc_from_env();
 
 /// Loss-recovery law selection. kNewReno is the default and is
@@ -42,13 +45,14 @@ enum class LossRecovery : std::uint8_t {
 
 [[nodiscard]] const char* to_string(LossRecovery recovery);
 
-/// Parses a FBDCSIM_RECOVERY-style spec ("newreno" | "sack",
-/// case-sensitive). Returns true on success; on failure leaves `out`
-/// untouched and returns false.
-[[nodiscard]] bool parse_recovery_spec(std::string_view spec, LossRecovery& out);
+/// Parses a FBDCSIM_RECOVERY-style spec ("newreno" | "reno" | "sack",
+/// case-sensitive). Returns std::nullopt and explains it in `why` on
+/// failure.
+[[nodiscard]] std::optional<LossRecovery> parse_recovery_spec(std::string_view spec,
+                                                              std::string& why);
 
-/// Resolves the FBDCSIM_RECOVERY environment variable: unset/empty ->
-/// kNewReno; malformed -> kNewReno plus one stderr diagnostic. Never throws.
+/// Resolves the FBDCSIM_RECOVERY environment knob: unset or malformed
+/// (diagnosed, core/env.h) -> kNewReno.
 [[nodiscard]] LossRecovery recovery_from_env();
 
 /// How a connection's fixed beyond-the-RSW propagation delay is derived.

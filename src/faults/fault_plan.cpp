@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "fbdcsim/core/env.h"
 
 namespace fbdcsim::faults {
 
@@ -201,26 +202,17 @@ std::optional<FaultConfig> parse_profile_file(const std::string& path, std::stri
 
 }  // namespace
 
-std::optional<FaultConfig> parse_fault_spec(std::string_view spec, std::string* error) {
+std::optional<FaultConfig> parse_fault_spec(std::string_view spec, std::string& why) {
   const std::string s = trim(std::string{spec});
-  if (s.empty()) {
-    *error = "empty FBDCSIM_FAULTS value";
-    return std::nullopt;
-  }
   if (s == "off") return FaultConfig{};
   if (s == "light") return light_profile();
   if (s == "heavy") return heavy_profile();
-  return parse_profile_file(s, error);
+  return parse_profile_file(s, &why);
 }
 
 FaultConfig fault_config_from_env() {
-  const char* env = std::getenv("FBDCSIM_FAULTS");
-  if (env == nullptr) return FaultConfig{};
-  std::string error;
-  if (auto config = parse_fault_spec(env, &error)) return *config;
-  std::fprintf(stderr, "FBDCSIM_FAULTS='%s' is invalid (%s); faults disabled\n", env,
-               error.c_str());
-  return FaultConfig{};
+  return core::read_env<FaultConfig>("FBDCSIM_FAULTS", parse_fault_spec, "off")
+      .value_or(FaultConfig{});
 }
 
 double FaultPlan::unit(Decision d, std::uint64_t entity, std::uint64_t bucket) const {

@@ -1,12 +1,11 @@
 #include "fbdcsim/runtime/thread_pool.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <utility>
 
+#include "fbdcsim/core/env.h"
 #include "fbdcsim/telemetry/telemetry.h"
 
 #if FBDCSIM_TELEMETRY_ENABLED
@@ -26,16 +25,9 @@ std::int64_t wall_us() {
 #endif
 
 int env_thread_count() {
-  if (const char* env = std::getenv("FBDCSIM_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 4096) {
-      return static_cast<int>(v);
-    }
-    std::fprintf(stderr,
-                 "FBDCSIM_THREADS='%s' is not a positive integer; "
-                 "using hardware concurrency instead\n",
-                 env);
+  if (const auto n = core::read_env<std::int64_t>(
+          "FBDCSIM_THREADS", core::parse_int_in<1, 4096>, "hardware concurrency")) {
+    return static_cast<int>(*n);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -1,7 +1,8 @@
 #include "fbdcsim/telemetry/obs.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <utility>
+
+#include "fbdcsim/core/env.h"
 
 namespace fbdcsim::telemetry {
 
@@ -17,9 +18,9 @@ const char* to_string(ObsConfig::Mode mode) {
   return "unknown";
 }
 
-std::optional<ObsConfig> parse_obs_spec(std::string_view spec, std::string* error) {
-  const auto fail = [error](std::string why) -> std::optional<ObsConfig> {
-    if (error != nullptr) *error = std::move(why);
+std::optional<ObsConfig> parse_obs_spec(std::string_view spec, std::string& why) {
+  const auto fail = [&why](std::string reason) -> std::optional<ObsConfig> {
+    why = std::move(reason);
     return std::nullopt;
   };
   ObsConfig config;
@@ -37,51 +38,27 @@ std::optional<ObsConfig> parse_obs_spec(std::string_view spec, std::string* erro
     config.flows = true;
     return config;
   }
-  const auto parse_count = [&fail](std::string_view arg, const char* what,
-                                   std::size_t& out) -> std::optional<ObsConfig> {
-    if (arg.empty()) {
-      return fail(std::string{what} + ": requires a record count");
-    }
-    std::size_t n = 0;
-    for (const char c : arg) {
-      if (c < '0' || c > '9') {
-        return fail(std::string{what} + " count is not a positive integer");
-      }
-      n = n * 10 + static_cast<std::size_t>(c - '0');
-      if (n > 1048576) return fail(std::string{what} + " count exceeds 1048576");
-    }
-    if (n == 0) return fail(std::string{what} + " count must be >= 1");
-    out = n;
-    return ObsConfig{};  // marker: parse succeeded (caller fills the config)
-  };
-  constexpr std::string_view kDumpPrefix = "dump:";
-  if (spec.substr(0, kDumpPrefix.size()) == kDumpPrefix) {
-    std::size_t n = 0;
-    if (!parse_count(spec.substr(kDumpPrefix.size()), "dump", n)) return std::nullopt;
-    config.mode = ObsConfig::Mode::kDump;
-    config.flight_recorder = n;
-    return config;
+  // dump:N and flows:N carry a ring capacity in 1..1048576.
+  const std::size_t colon = spec.find(':');
+  const std::string_view level = spec.substr(0, colon);
+  if (colon == std::string_view::npos || (level != "dump" && level != "flows")) {
+    return fail("expected off|on|dump[:N]|flows[:N]");
   }
-  constexpr std::string_view kFlowsPrefix = "flows:";
-  if (spec.substr(0, kFlowsPrefix.size()) == kFlowsPrefix) {
-    std::size_t n = 0;
-    if (!parse_count(spec.substr(kFlowsPrefix.size()), "flows", n)) return std::nullopt;
+  const auto n = core::parse_int_in<1, 1048576>(spec.substr(colon + 1), why);
+  if (!n) return fail(std::string{level} + " count " + why);
+  if (level == "dump") {
+    config.mode = ObsConfig::Mode::kDump;
+    config.flight_recorder = static_cast<std::size_t>(*n);
+  } else {
     config.mode = ObsConfig::Mode::kOn;
     config.flows = true;
-    config.flow_capacity = n;
-    return config;
+    config.flow_capacity = static_cast<std::size_t>(*n);
   }
-  return fail("expected off|on|dump[:N]|flows[:N]");
+  return config;
 }
 
 ObsConfig obs_config_from_env() {
-  const char* env = std::getenv("FBDCSIM_OBS");
-  if (env == nullptr) return ObsConfig{};
-  std::string error;
-  if (const auto config = parse_obs_spec(env, &error)) return *config;
-  std::fprintf(stderr, "FBDCSIM_OBS='%s' is invalid (%s); observability stays off\n", env,
-               error.c_str());
-  return ObsConfig{};
+  return core::read_env<ObsConfig>("FBDCSIM_OBS", parse_obs_spec, "off").value_or(ObsConfig{});
 }
 
 }  // namespace fbdcsim::telemetry

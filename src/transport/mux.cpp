@@ -21,7 +21,7 @@ using core::TimePoint;
 
 TransportMux::TransportMux(sim::Simulator& sim, const topology::Fleet& fleet,
                            services::TrafficSink& sink, TcpParams params,
-                           const faults::FaultPlan* faults, std::uint64_t /*seed*/)
+                           const faults::FaultPlan* faults)
     : sim_{&sim}, fleet_{&fleet}, sink_{&sink}, params_{params}, faults_{faults} {
   faults_enabled_ = faults_ != nullptr && faults_->enabled();
 }

@@ -1,7 +1,6 @@
 #include "fbdcsim/transport/params.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "fbdcsim/core/env.h"
 
 namespace fbdcsim::transport {
 
@@ -15,30 +14,16 @@ const char* to_string(CongestionControl cc) {
   return "?";
 }
 
-bool parse_cc_spec(std::string_view spec, CongestionControl& out) {
-  if (spec == "reno" || spec == "newreno") {
-    out = CongestionControl::kNewReno;
-    return true;
-  }
-  if (spec == "dctcp") {
-    out = CongestionControl::kDctcp;
-    return true;
-  }
-  return false;
+std::optional<CongestionControl> parse_cc_spec(std::string_view spec, std::string& why) {
+  if (spec == "reno" || spec == "newreno") return CongestionControl::kNewReno;
+  if (spec == "dctcp") return CongestionControl::kDctcp;
+  why = "expected reno|newreno|dctcp";
+  return std::nullopt;
 }
 
 CongestionControl cc_from_env() {
-  const char* raw = std::getenv("FBDCSIM_CC");
-  if (raw == nullptr || raw[0] == '\0') return CongestionControl::kNewReno;
-  CongestionControl cc = CongestionControl::kNewReno;
-  if (!parse_cc_spec(raw, cc)) {
-    std::fprintf(stderr,
-                 "fbdcsim: ignoring invalid FBDCSIM_CC value \"%s\" "
-                 "(expected reno|dctcp); using reno\n",
-                 raw);
-    return CongestionControl::kNewReno;
-  }
-  return cc;
+  return core::read_env<CongestionControl>("FBDCSIM_CC", parse_cc_spec, "reno")
+      .value_or(CongestionControl::kNewReno);
 }
 
 const char* to_string(LossRecovery recovery) {
@@ -51,30 +36,16 @@ const char* to_string(LossRecovery recovery) {
   return "?";
 }
 
-bool parse_recovery_spec(std::string_view spec, LossRecovery& out) {
-  if (spec == "newreno" || spec == "reno") {
-    out = LossRecovery::kNewReno;
-    return true;
-  }
-  if (spec == "sack") {
-    out = LossRecovery::kSack;
-    return true;
-  }
-  return false;
+std::optional<LossRecovery> parse_recovery_spec(std::string_view spec, std::string& why) {
+  if (spec == "newreno" || spec == "reno") return LossRecovery::kNewReno;
+  if (spec == "sack") return LossRecovery::kSack;
+  why = "expected newreno|reno|sack";
+  return std::nullopt;
 }
 
 LossRecovery recovery_from_env() {
-  const char* raw = std::getenv("FBDCSIM_RECOVERY");
-  if (raw == nullptr || raw[0] == '\0') return LossRecovery::kNewReno;
-  LossRecovery recovery = LossRecovery::kNewReno;
-  if (!parse_recovery_spec(raw, recovery)) {
-    std::fprintf(stderr,
-                 "fbdcsim: ignoring invalid FBDCSIM_RECOVERY value \"%s\" "
-                 "(expected newreno|sack); using newreno\n",
-                 raw);
-    return LossRecovery::kNewReno;
-  }
-  return recovery;
+  return core::read_env<LossRecovery>("FBDCSIM_RECOVERY", parse_recovery_spec, "newreno")
+      .value_or(LossRecovery::kNewReno);
 }
 
 }  // namespace fbdcsim::transport

@@ -96,7 +96,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
       });
   if (config_.transport == Transport::kTcp) {
     transport_ = std::make_unique<transport::TransportMux>(
-        sim_, fleet, *this, config_.tcp, config_.faults, config_.seed);
+        sim_, fleet, *this, config_.tcp, config_.faults);
     rsw_->set_drop_hook([this](std::size_t port, const SimPacket& packet) {
       transport_->on_dropped(port, packet);
     });

@@ -301,33 +301,33 @@ TEST(FaultPlanTest, CaptureDropScalesWithOccupancy) {
 
 TEST(FaultSpecTest, BuiltinNamesParse) {
   std::string error;
-  const auto off = parse_fault_spec("off", &error);
+  const auto off = parse_fault_spec("off", error);
   ASSERT_TRUE(off.has_value());
   EXPECT_EQ(off->profile, Profile::kOff);
-  const auto light = parse_fault_spec("light", &error);
+  const auto light = parse_fault_spec("light", error);
   ASSERT_TRUE(light.has_value());
   EXPECT_EQ(light->profile, Profile::kLight);
-  const auto heavy = parse_fault_spec("  heavy  ", &error);  // whitespace trims
+  const auto heavy = parse_fault_spec("  heavy  ", error);  // whitespace trims
   ASSERT_TRUE(heavy.has_value());
   EXPECT_EQ(heavy->profile, Profile::kHeavy);
 }
 
 TEST(FaultSpecTest, EmptyAndMissingFileAreErrors) {
   std::string error;
-  EXPECT_FALSE(parse_fault_spec("", &error).has_value());
+  EXPECT_FALSE(parse_fault_spec("", error).has_value());
   EXPECT_FALSE(error.empty());
   error.clear();
-  EXPECT_FALSE(parse_fault_spec("   ", &error).has_value());
+  EXPECT_FALSE(parse_fault_spec("   ", error).has_value());
   EXPECT_FALSE(error.empty());
   error.clear();
-  EXPECT_FALSE(parse_fault_spec("/nonexistent/fault/profile.conf", &error).has_value());
+  EXPECT_FALSE(parse_fault_spec("/nonexistent/fault/profile.conf", error).has_value());
   EXPECT_NE(error.find("not a regular file"), std::string::npos);
   // Directories and devices are rejected too, not read as empty profiles.
   error.clear();
-  EXPECT_FALSE(parse_fault_spec("/tmp", &error).has_value());
+  EXPECT_FALSE(parse_fault_spec("/tmp", error).has_value());
   EXPECT_NE(error.find("not a regular file"), std::string::npos);
   error.clear();
-  EXPECT_FALSE(parse_fault_spec("/dev/null", &error).has_value());
+  EXPECT_FALSE(parse_fault_spec("/dev/null", error).has_value());
 }
 
 class FaultProfileFileTest : public ::testing::Test {
@@ -367,7 +367,7 @@ TEST_F(FaultProfileFileTest, RoundTripsEveryKey) {
       "tag_failure_prob = 0.02\n"
       "capture_drop_prob = 0.03\n");
   std::string error;
-  const auto config = parse_fault_spec(path, &error);
+  const auto config = parse_fault_spec(path, error);
   ASSERT_TRUE(config.has_value()) << error;
   EXPECT_EQ(config->profile, Profile::kCustom);
   EXPECT_EQ(config->seed, 99u);
@@ -384,7 +384,7 @@ TEST_F(FaultProfileFileTest, RoundTripsEveryKey) {
 TEST_F(FaultProfileFileTest, CommentsAndBlankLinesOnlyIsAValidOffLikeProfile) {
   const std::string path = write_profile("# nothing set\n\n   \n# still nothing\n");
   std::string error;
-  const auto config = parse_fault_spec(path, &error);
+  const auto config = parse_fault_spec(path, error);
   ASSERT_TRUE(config.has_value()) << error;
   EXPECT_EQ(config->profile, Profile::kCustom);
   EXPECT_DOUBLE_EQ(config->link_fail_prob, 0.0);  // defaults
@@ -410,48 +410,9 @@ TEST_F(FaultProfileFileTest, RejectsMalformedLinesWithLineNumbers) {
   for (const auto& c : cases) {
     const std::string path = write_profile(std::string{"# header\n"} + c.text);
     std::string error;
-    EXPECT_FALSE(parse_fault_spec(path, &error).has_value()) << c.text;
+    EXPECT_FALSE(parse_fault_spec(path, error).has_value()) << c.text;
     EXPECT_NE(error.find(":2:"), std::string::npos) << error;  // line number
     EXPECT_NE(error.find(c.expect_in_error), std::string::npos) << error;
-  }
-}
-
-/// Saves and restores FBDCSIM_FAULTS around each env-driven test.
-class FaultsEnvTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (const char* v = std::getenv("FBDCSIM_FAULTS")) saved_ = v;
-  }
-  void TearDown() override {
-    if (saved_.has_value()) {
-      ::setenv("FBDCSIM_FAULTS", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("FBDCSIM_FAULTS");
-    }
-  }
-
-  std::optional<std::string> saved_;
-};
-
-TEST_F(FaultsEnvTest, UnsetAndOffYieldDisabledConfig) {
-  ::unsetenv("FBDCSIM_FAULTS");
-  EXPECT_EQ(fault_config_from_env().profile, Profile::kOff);
-  ::setenv("FBDCSIM_FAULTS", "off", 1);
-  EXPECT_EQ(fault_config_from_env().profile, Profile::kOff);
-}
-
-TEST_F(FaultsEnvTest, BuiltinProfilesResolve) {
-  ::setenv("FBDCSIM_FAULTS", "light", 1);
-  EXPECT_EQ(fault_config_from_env().profile, Profile::kLight);
-  ::setenv("FBDCSIM_FAULTS", "heavy", 1);
-  EXPECT_EQ(fault_config_from_env().profile, Profile::kHeavy);
-}
-
-TEST_F(FaultsEnvTest, MalformedValuesFallBackToOffWithoutCrashing) {
-  for (const char* bad : {"", "  ", "LIGHT", "medium", "/no/such/file", "light;heavy",
-                          "0.5", "../../../etc/passwd\n"}) {
-    ::setenv("FBDCSIM_FAULTS", bad, 1);
-    EXPECT_EQ(fault_config_from_env().profile, Profile::kOff) << "'" << bad << "'";
   }
 }
 

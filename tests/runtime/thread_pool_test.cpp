@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -105,22 +104,6 @@ TEST(ThreadPoolTest, PostRunsTask) {
   std::unique_lock<std::mutex> lk{mu};
   cv.wait(lk, [&] { return done; });
   EXPECT_TRUE(done);
-}
-
-TEST(EnvThreadCountTest, HonorsValidOverride) {
-  ::setenv("FBDCSIM_THREADS", "3", 1);
-  EXPECT_EQ(env_thread_count(), 3);
-  ::unsetenv("FBDCSIM_THREADS");
-}
-
-TEST(EnvThreadCountTest, RejectsMalformedValues) {
-  for (const char* bad : {"abc", "-2", "0", "4x", ""}) {
-    ::setenv("FBDCSIM_THREADS", bad, 1);
-    EXPECT_GE(env_thread_count(), 1) << bad;
-    // Malformed values fall back to hardware concurrency, never crash.
-  }
-  ::unsetenv("FBDCSIM_THREADS");
-  EXPECT_GE(env_thread_count(), 1);
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ inline ScenarioOutcome run_loss_scenario(
   params.recovery = recovery;
   params.max_cwnd = core::DataSize::bytes(window_segments * params.mss_bytes);
   params.initial_window_segments = window_segments;
-  transport::TransportMux mux{sim, fleet, sink, params, /*faults=*/nullptr, /*seed=*/1};
+  transport::TransportMux mux{sim, fleet, sink, params, /*faults=*/nullptr};
   if (ledger != nullptr) mux.set_flow_ledger(ledger);
   sink.sim = &sim;
   sink.mux = &mux;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/rack_fingerprint.h"
 #include "fbdcsim/topology/standard_fleet.h"
 #include "fbdcsim/workload/presets.h"
 
@@ -131,6 +132,23 @@ TEST(RackSimulationTest, BufferSamplerProducesPerSecondStats) {
     EXPECT_GE(s.max_fraction, s.median_fraction);
     EXPECT_LE(s.max_fraction, 1.0);
   }
+}
+
+// A rack so sparse that consecutive events often sit more than the
+// simulator's ~4.2-ms wheel apart: run_loop keeps finding the wheel empty
+// with only overflow events pending and jumps to the earliest of them. A
+// jump that stops advancing spins forever, which the ctest TIMEOUT turns
+// into a failure; a jump that lands wrong changes the pinned output.
+TEST(RackSimulationTest, SparseRackJumpsAcrossAnEmptyWheel) {
+  const topology::Fleet fleet = small_rack_fleet();
+  RackSimConfig cfg = quick_config(fleet, HostRole::kCacheFollower);
+  cfg.mix = scale_rates(cfg.mix, 0.01);
+  cfg.capture = Duration::seconds(2);
+  RackSimulation rack{fleet, cfg};
+  const RackSimResult r = rack.run();
+  EXPECT_EQ(r.events, 1012u);
+  EXPECT_EQ(r.trace.size(), 291u);
+  EXPECT_EQ(tests::fingerprint(r), 0x952932fa9f05ab16ULL);
 }
 
 TEST(RackSimulationTest, RequiresMonitoredHost) {
